@@ -205,10 +205,8 @@ def _cmd_select(args) -> None:
     report = select_features(fm, lambda_c=args.lambda_c, lambda_mc=args.lambda_mc,
                              k_top=args.k_top, method=args.method, seed=args.seed)
     if args.instance_json:
-        from .features import build_instance
-        inst = build_instance(fm, args.lambda_c, args.lambda_mc, args.k_top)
         with open(args.instance_json, "w", encoding="utf-8") as handle:
-            handle.write(inst.to_json() + "\n")
+            handle.write(report.instance.to_json() + "\n")
     lines = [
         f"selected {len(report.selected)} of {fm.m} features: "
         + ", ".join(report.selected),

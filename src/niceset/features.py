@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -107,7 +108,7 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
             except ValueError:
                 raise CsvError(f"{path}: record {number}, column {label!r}: "
                                f"not a number: {cell!r}", record=number, column=label) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise CsvError(f"{path}: record {number}, column {label!r}: "
                                f"non-finite value {cell!r}", record=number, column=label)
             row.append(value)
@@ -209,33 +210,52 @@ def conflict_sets(fm: FeatureMatrix, lambda_mc: float, k_top: int = 3) -> dict[i
     inflated fit.  Other features start empty.  The family is then
     symmetrized by union, so the returned map satisfies
     ``u in T(v)  iff  v in T(u)``.
+
+    All ``m`` regressions come from one inverse ``P`` of the ridged
+    correlation matrix ``R + 1e-10 I`` of the standardized columns: feature
+    ``j`` has coefficients ``beta_k = -P[j, k] / P[j, j]`` (``k != j``) and
+    ``R^2 = beta . R[j] + 1e-10 |beta|^2``, the residual-based R^2 of the
+    same ridge fit :func:`vif` runs.  (The textbook ``1 - 1/P[j, j]`` drops
+    the ridge term and misses the ``VIF_MAX`` cap on exactly collinear
+    columns.)  Requires ``n > m`` observations; with fewer, every feature
+    fits perfectly and the screen would flag them all.
     """
     if lambda_mc <= 1.0:
         raise ValueError("lambda_mc must exceed 1")
     if k_top < 1:
         raise ValueError("k_top must be at least 1")
-    raw: dict[int, set[int]] = {v: set() for v in range(1, fm.m + 1)}
-    for v in range(1, fm.m + 1):
-        others = tuple(u for u in range(1, fm.m + 1) if u != v)
-        r2, coef = _fit_standardized(fm, v, others)
-        factor = VIF_MAX if r2 >= 1.0 - 1e-12 else min(1.0 / (1.0 - r2), VIF_MAX)
+    n, m = fm.n, fm.m
+    if n <= m:
+        raise ValueError(f"need n > {m} observations, got {n}")
+    design = np.column_stack([
+        _standardize(fm.column(j), f"feature {fm.names[j - 1]!r}") for j in range(1, m + 1)
+    ])
+    corr = design.T @ design / n
+    inverse = np.linalg.inv(corr + _RIDGE * np.eye(m))
+    coef = -inverse / np.diag(inverse)[:, None]
+    np.fill_diagonal(coef, 0.0)
+    r2 = np.clip(np.sum(coef * corr, axis=1) + _RIDGE * np.sum(coef ** 2, axis=1), 0.0, 1.0)
+    raw: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
+    for v in range(1, m + 1):
+        fit = float(r2[v - 1])
+        factor = VIF_MAX if fit >= 1.0 - 1e-12 else min(1.0 / (1.0 - fit), VIF_MAX)
         if factor > lambda_mc:
-            magnitudes = np.abs(coef)
-            floor = max(_COEF_FLOOR, 0.01 * float(magnitudes.max(initial=0.0)))
-            ranked = sorted(((u, c) for u, c in zip(others, magnitudes) if c > floor),
-                            key=lambda t: (-t[1], t[0]))
-            raw[v] = {u for u, _ in ranked[:k_top]}
-    for v in range(1, fm.m + 1):
+            magnitudes = np.abs(coef[v - 1])  # zero at v itself, so never a partner
+            floor = max(_COEF_FLOOR, 0.01 * float(magnitudes.max()))
+            ranked = sorted(np.flatnonzero(magnitudes > floor), key=lambda u: (-magnitudes[u], u))
+            raw[v] = {int(u) + 1 for u in ranked[:k_top]}
+    for v in range(1, m + 1):
         for u in raw[v].copy():
             raw[u].add(v)
-    return {v: frozenset(raw[v]) for v in range(1, fm.m + 1)}
+    return {v: frozenset(raw[v]) for v in range(1, m + 1)}
 
 
 @dataclass(frozen=True)
 class SelectionReport:
     """Outcome of a feature-selection run; ``selected`` holds feature names
     in column order and is always verified nice against the derived
-    instance."""
+    ``instance``, which is kept for the caller but neither serialized nor
+    compared."""
 
     selected: tuple[str, ...]
     method: str
@@ -245,6 +265,7 @@ class SelectionReport:
     conflict_max: int
     conflict_mean: float
     witness_checked: bool
+    instance: Instance = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -292,7 +313,7 @@ def select_features(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,
         raise ValueError(f"unknown method {method!r}")
     witness = is_nice(result.vertices, inst)
     if not witness:
-        raise AssertionError("solver returned a non-nice set")  # pragma: no cover
+        raise RuntimeError("solver returned a non-nice set")
     sizes = [len(inst.conflicts[v]) for v in range(1, inst.m + 1)]
     return SelectionReport(
         selected=tuple(fm.names[v - 1] for v in sorted(result.vertices)),
@@ -303,4 +324,5 @@ def select_features(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,
         conflict_max=max(sizes),
         conflict_mean=float(sum(sizes)) / len(sizes),
         witness_checked=witness,
+        instance=inst,
     )

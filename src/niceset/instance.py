@@ -121,11 +121,26 @@ class Instance:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Instance":
-        return cls(
-            m=int(payload["m"]),
-            edges=[tuple(e) for e in payload.get("edges", [])],
-            conflicts={int(v): set(ts) for v, ts in payload.get("conflicts", {}).items()},
-        )
+        """Inverse of :meth:`to_dict`.  A malformed payload raises
+        :class:`ValueError`."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"instance payload must be an object, got {type(payload).__name__}")
+        if "m" not in payload:
+            raise ValueError("instance payload has no 'm'")
+        edges = payload.get("edges", [])
+        conflicts = payload.get("conflicts", {})
+        if not isinstance(edges, (list, tuple)):
+            raise ValueError(f"'edges' must be a list, got {type(edges).__name__}")
+        if not isinstance(conflicts, Mapping):
+            raise ValueError(f"'conflicts' must be an object, got {type(conflicts).__name__}")
+        try:
+            return cls(
+                m=int(payload["m"]),
+                edges=[tuple(e) for e in edges],
+                conflicts={int(v): set(ts) for v, ts in conflicts.items()},
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed instance payload: {exc}") from None
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)

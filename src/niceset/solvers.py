@@ -72,6 +72,12 @@ def _mask_to_vertices(mask: int) -> frozenset[int]:
     return frozenset(v + 1 for v in _bits(mask))
 
 
+def _check_witness(vertices: frozenset[int], inst: Instance) -> None:
+    # An explicit raise, not an assert, so the check survives ``python -O``.
+    if not is_nice(vertices, inst):
+        raise RuntimeError("solver returned a non-nice set")
+
+
 def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResult:
     """Maximum nice set by branch and bound on the union graph.
 
@@ -111,7 +117,7 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
 
     explore((1 << m) - 1, 0, 0)
     vertices = _mask_to_vertices(best_mask)
-    assert is_nice(vertices, inst)
+    _check_witness(vertices, inst)
     return NiceSetResult(vertices=vertices, size=best_size, method="exact")
 
 
@@ -123,7 +129,7 @@ def greedy_nice(inst: Instance, tie_break: str = "smallest-index",
     rng = generator(seed if seed is not None else 0) if tie_break == "random" else None
     mask = _min_degree_greedy(_adjacency_masks(inst), inst.m, rng=rng)
     vertices = _mask_to_vertices(mask)
-    assert is_nice(vertices, inst)
+    _check_witness(vertices, inst)
     return NiceSetResult(vertices=vertices, size=len(vertices), method="greedy",
                          seed=seed if tie_break == "random" else None)
 
@@ -144,7 +150,7 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
                                      seed=derive_seed(seed, target))
         if found is not None:
             vertices = frozenset(found)
-            assert is_nice(vertices, inst)
+            _check_witness(vertices, inst)
             return NiceSetResult(vertices=vertices, size=len(vertices),
                                  method="randomized", seed=seed)
     raise AssertionError("unreachable: singleton draws always succeed")

@@ -1,12 +1,15 @@
 """CLI contract: flags, exit codes, JSON reports, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from niceset import Instance
+from niceset import Instance, build_instance, features
 from niceset.cli import main
+
+from .conftest import planted_block_matrix
 
 
 def run_cli(capsys, argv):
@@ -109,6 +112,54 @@ def test_select_subcommand(capsys, tmp_path):
     assert "c" in payload["selected"]
     inst = Instance.from_json(inst_path.read_text())
     assert inst.m == 3 and (1, 2) in inst.edges
+
+
+def _planted_select(capsys, tmp_path):
+    fm = planted_block_matrix(n=300, n_blocks=3, block_size=4, n_indep=5, noise=0.1,
+                              seed=2026)
+    csv_path = tmp_path / "planted.csv"
+    csv_path.write_text("\n".join([",".join(fm.names)] + [
+        ",".join(repr(float(x)) for x in row) for row in fm.data]) + "\n")
+    out_path, inst_path = tmp_path / "sel.json", tmp_path / "inst.json"
+    code, _, err = run_cli(capsys, [
+        "select", "--input", str(csv_path), "--lambda-c", "0.8", "--lambda-mc", "5",
+        "--method", "greedy", "--seed", "7", "--json", str(out_path),
+        "--instance-json", str(inst_path)])
+    assert code == 0, err
+    return fm, out_path.read_bytes(), inst_path.read_bytes()
+
+
+def test_select_golden_digests(capsys, tmp_path):
+    # digests recorded before VIF screening moved to a single matrix inverse
+    _, report, instance = _planted_select(capsys, tmp_path)
+    assert hashlib.sha256(report).hexdigest() == \
+        "4346a8b37d856bcc6d3b925fab1c22e5e3dc803e7e0cdc43b4358983a6b5476a"
+    assert hashlib.sha256(instance).hexdigest() == \
+        "267f6d964da797dd7eb0e00432cf69daec14773cb4951b60463d1bd4f7bf9127"
+
+
+def test_select_derives_the_instance_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    screen = features.conflict_sets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return screen(*args, **kwargs)
+
+    monkeypatch.setattr(features, "conflict_sets", counted)
+    fm, _, instance = _planted_select(capsys, tmp_path)
+    assert len(calls) == 1
+    assert instance.decode() == build_instance(fm, 0.8, 5.0).to_json() + "\n"
+
+
+def test_select_underdetermined_exits_one(capsys, tmp_path):
+    rng = np.random.default_rng(4)
+    csv_path = write_csv(tmp_path, "wide.csv", [f"c{i}" for i in range(30)],
+                         rng.normal(size=(10, 30)))
+    code, _, err = run_cli(capsys, ["select", "--input", csv_path, "--lambda-c", "0.9",
+                                    "--lambda-mc", "5", "--method", "greedy"])
+    assert code == 1
+    assert "need n > 30 observations, got 10" in err
 
 
 def test_unknown_subcommand_exits_one(capsys):

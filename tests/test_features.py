@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from niceset import (BudgetError, CsvError, FeatureMatrix, VIF_MAX, build_instance,
-                     collinearity_graph, conflict_sets, is_nice, load_csv,
+                     collinearity_graph, conflict_sets, features, is_nice, load_csv,
                      pearson_matrix, select_features, vif)
+from niceset.features import _COEF_FLOOR, _fit_standardized
 
 from .conftest import planted_block_matrix
 
@@ -215,6 +216,81 @@ def test_conflict_sets_validation():
         conflict_sets(fm, lambda_mc=5.0, k_top=0)
 
 
+@pytest.mark.parametrize("n, m", [(10, 30), (30, 30)])
+def test_conflict_sets_rejects_underdetermined(n, m):
+    # with n <= m every feature fits the others perfectly, so the screen
+    # would flag all of them; i.i.d. noise must not look multicollinear
+    rng = np.random.default_rng(n)
+    fm = FeatureMatrix(names=tuple(f"c{i}" for i in range(m)), data=rng.normal(size=(n, m)))
+    with pytest.raises(ValueError, match=f"need n > {m} observations, got {n}"):
+        conflict_sets(fm, lambda_mc=5.0)
+    with pytest.raises(ValueError, match="need n >"):
+        select_features(fm, lambda_c=0.9, lambda_mc=5.0, method="greedy")
+
+
+def reference_conflict_sets(fm: FeatureMatrix, lambda_mc: float,
+                            k_top: int = 3) -> dict[int, frozenset[int]]:
+    """Reference: one ridge regression per feature on all the others."""
+    raw: dict[int, set[int]] = {v: set() for v in range(1, fm.m + 1)}
+    for v in range(1, fm.m + 1):
+        others = tuple(u for u in range(1, fm.m + 1) if u != v)
+        r2, coef = _fit_standardized(fm, v, others)
+        factor = VIF_MAX if r2 >= 1.0 - 1e-12 else min(1.0 / (1.0 - r2), VIF_MAX)
+        if factor > lambda_mc:
+            magnitudes = np.abs(coef)
+            floor = max(_COEF_FLOOR, 0.01 * float(magnitudes.max(initial=0.0)))
+            ranked = sorted(((u, c) for u, c in zip(others, magnitudes) if c > floor),
+                            key=lambda t: (-t[1], t[0]))
+            raw[v] = {u for u, _ in ranked[:k_top]}
+    for v in range(1, fm.m + 1):
+        for u in raw[v].copy():
+            raw[u].add(v)
+    return {v: frozenset(raw[v]) for v in range(1, fm.m + 1)}
+
+
+def _collinear_case(kind: str) -> FeatureMatrix:
+    rng = np.random.default_rng(11)
+    x1, x2, x3 = rng.normal(size=(3, 200))
+    columns = {
+        "duplicate": [x1, x1, x2, x3],
+        "sum": [x1, x2, x3, x1 + x2],
+        # VIF of the last column is about 2e10: below the cap, above 1e9
+        "near-collinear": [x1, x2, x3, x1 + x2 + 1e-5 * rng.normal(size=200)],
+    }[kind]
+    return FeatureMatrix(names=("a", "b", "c", "d"), data=np.column_stack(columns))
+
+
+@pytest.mark.parametrize("lambda_mc", [5.0, 1e9, 1e11])
+@pytest.mark.parametrize("kind", ["duplicate", "sum", "near-collinear"])
+def test_conflict_sets_match_reference_on_collinear_designs(kind, lambda_mc):
+    fm = _collinear_case(kind)
+    family = conflict_sets(fm, lambda_mc=lambda_mc, k_top=2)
+    assert family == reference_conflict_sets(fm, lambda_mc=lambda_mc, k_top=2)
+    # exact collinearity reaches the VIF_MAX cap, which clears even 1e11
+    assert any(family.values()) == (kind != "near-collinear" or lambda_mc < 1e10)
+
+
+def test_conflict_sets_match_reference_on_planted_blocks():
+    fm = planted_block_matrix()
+    for lambda_mc in (2.0, 5.0, 50.0):
+        for k_top in (1, 3):
+            family = conflict_sets(fm, lambda_mc=lambda_mc, k_top=k_top)
+            assert family == reference_conflict_sets(fm, lambda_mc=lambda_mc, k_top=k_top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), m=st.integers(2, 10), extra=st.integers(5, 60),
+       mixing=st.floats(0.0, 3.0), lambda_mc=st.floats(1.5, 50.0), k_top=st.integers(1, 4))
+def test_conflict_sets_match_reference_on_well_conditioned_designs(seed, m, extra, mixing,
+                                                                   lambda_mc, k_top):
+    rng = np.random.default_rng(seed)
+    latent = rng.normal(size=(m + extra, m))
+    data = latent + mixing * latent @ (rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.3))
+    fm = FeatureMatrix(names=tuple(f"c{i}" for i in range(m)), data=data)
+    assume(np.linalg.cond(pearson_matrix(fm)) < 1e6)
+    assert conflict_sets(fm, lambda_mc, k_top) == reference_conflict_sets(fm, lambda_mc, k_top)
+
+
 # ------------------------------------------------------------------ selection
 
 def test_select_duplicate_feature_keeps_one(tmp_path):
@@ -260,6 +336,13 @@ def test_select_reports_instance_facts():
     assert set(payload) == {"selected", "method", "lambda_c", "lambda_mc",
                             "edge_count", "conflict_stats", "witness_checked"}
     assert set(payload["conflict_stats"]) == {"max", "mean"}
+
+
+def test_select_witness_check_rejects_non_nice_answer(monkeypatch):
+    monkeypatch.setattr(features, "is_nice", lambda s, inst: False)
+    fm = FeatureMatrix(names=("a", "b", "c"), data=ORTHOGONAL)
+    with pytest.raises(RuntimeError, match="non-nice"):
+        select_features(fm, lambda_c=0.8, lambda_mc=5.0, method="greedy")
 
 
 def test_select_exact_budget_guard():

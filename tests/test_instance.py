@@ -1,5 +1,6 @@
 """Instance sampling, niceness, the union graph, and serialization."""
 
+import json
 import math
 
 import pytest
@@ -130,6 +131,28 @@ def test_json_round_trip_and_schema():
     assert all(u < v for u, v in payload["edges"])
     assert all(ts == sorted(ts) for ts in payload["conflicts"].values())
     assert Instance.from_json(inst.to_json()) == inst
+
+
+@pytest.mark.parametrize("payload", [
+    {"edges": [[1, 2]]},                           # no m
+    {"m": 3, "edges": 5},                          # edges not a list
+    {"m": 3, "edges": {"1": 2}},
+    {"m": 3, "edges": [7]},                        # an edge that is not a pair
+    {"m": 3, "edges": [[1, "b"]]},
+    {"m": 3, "conflicts": {"x": [2]}},             # non-integer conflict key
+    {"m": 3, "conflicts": {"1.5": [2]}},
+    {"m": 3, "conflicts": [[1, 2]]},               # conflicts not an object
+    {"m": 3, "conflicts": {"1": 2}},               # partners not a list
+    {"m": None},
+    [3, [[1, 2]]],                                 # top level not an object
+    "instance",
+    None,
+])
+def test_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(ValueError):
+        Instance.from_dict(payload)
+    with pytest.raises(ValueError):
+        Instance.from_json(json.dumps(payload))
 
 
 def test_nice_set_result_validation():

@@ -1,10 +1,16 @@
 """Solver correctness: exact against enumeration, greedy traces, randomized."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import niceset
 from niceset import (BudgetError, ConflictSpec, Instance, derive_seed, greedy_nice,
-                     is_nice, max_nice_exact, randomized_nice, sample_instance)
+                     is_nice, max_nice_exact, randomized_nice, sample_instance, solvers)
 
 from .conftest import enumerate_max_nice
 
@@ -94,3 +100,48 @@ def test_randomized_finds_everything_on_edgeless_graph():
     inst = Instance(5)
     result = randomized_nice(inst, max_restarts=300, seed=0)
     assert result.vertices == frozenset({1, 2, 3, 4, 5})
+
+
+@pytest.mark.parametrize("solve", [max_nice_exact, greedy_nice, randomized_nice])
+def test_witness_check_rejects_non_nice_answer(monkeypatch, solve):
+    monkeypatch.setattr(solvers, "is_nice", lambda s, inst: False)
+    with pytest.raises(RuntimeError, match="non-nice"):
+        solve(sample_instance(8, 0.3, seed=1))
+
+
+_WITNESS_UNDER_O = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+
+    from niceset import FeatureMatrix, Instance, features, solvers
+
+    inst = Instance(4, edges=[(1, 2)])
+    fm = FeatureMatrix(names=("a", "b", "c"), data=np.random.default_rng(0).normal(size=(20, 3)))
+    calls = [
+        (solvers, lambda: solvers.max_nice_exact(inst)),
+        (solvers, lambda: solvers.greedy_nice(inst)),
+        (solvers, lambda: solvers.randomized_nice(inst)),
+        (features, lambda: features.select_features(fm, 0.9, 5.0, method="greedy")),
+    ]
+    raised = 0
+    for module, call in calls:
+        original, module.is_nice = module.is_nice, lambda s, inst: False
+        try:
+            call()
+        except RuntimeError:
+            raised += 1
+        finally:
+            module.is_nice = original
+    print(sys.flags.optimize, raised)
+""")
+
+
+def test_witness_checks_survive_optimized_mode():
+    src = os.path.dirname(os.path.dirname(niceset.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", _WITNESS_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "4"]
