@@ -17,12 +17,12 @@ subset ``B``; ``I`` is *B-constrained* when ``g(y, I - {y}) in B`` for every
 ``y in I``, and ``h(I)`` collects the elements whose constraint value with
 respect to ``I`` is not accepted.
 
-:func:`compute_p` and :func:`compute_q` enumerate the worst-case fraction of
-good (resp. constraint-violating) elements over B-constrained sets of bounded
-size, as exact rationals.  When ``p[L-1] > q[L-1]`` a mutually good
-B-constrained set of cardinality ``L`` exists; :func:`randomized_construct`
-finds one by uniform sampling and :func:`brute_force_mutually_good` by
-exhaustive search.
+:func:`fraction_table` enumerates the worst-case fraction of good (resp.
+constraint-violating) elements over B-constrained sets of bounded size, as
+exact rationals; :func:`compute_p` and :func:`compute_q` read single entries.
+When ``p[L-1] > q[L-1]`` a mutually good B-constrained set of cardinality
+``L`` exists; :func:`randomized_construct` finds one by uniform sampling and
+:func:`brute_force_mutually_good` by exhaustive search.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -247,33 +247,6 @@ def _sweep_constrained(view: _MaskView, up_to: int, max_subsets: int):
                 yield size, mask
 
 
-def compute_p(system: GoodnessSystem, i: int, max_subsets: int = 2_000_000) -> Fraction:
-    """Worst-case good fraction: the minimum of ``|f(I)| / N`` over all
-    B-constrained sets ``I`` with ``|I| <= i`` (the empty set included), by
-    exhaustive enumeration."""
-    if not 1 <= i <= system.size:
-        raise ValueError("i must lie in 1..N")
-    view = _MaskView(system)
-    n = system.size
-    best = Fraction(1)
-    for _, mask in _sweep_constrained(view, i, max_subsets):
-        best = min(best, Fraction(view.f_mask(mask).bit_count(), n))
-    return best
-
-
-def compute_q(system: GoodnessSystem, i: int, max_subsets: int = 2_000_000) -> Fraction:
-    """Worst-case violating fraction: the maximum of ``|h(I)| / N`` over all
-    B-constrained sets ``I`` with ``|I| <= i``, by exhaustive enumeration."""
-    if not 1 <= i <= system.size:
-        raise ValueError("i must lie in 1..N")
-    view = _MaskView(system)
-    n = system.size
-    worst = Fraction(0)
-    for _, mask in _sweep_constrained(view, i, max_subsets):
-        worst = max(worst, Fraction(view.h_mask(mask).bit_count(), n))
-    return worst
-
-
 @dataclass(frozen=True)
 class FractionTable:
     """Exact fractions ``p_1..p_L`` and ``q_1..q_L``.
@@ -308,9 +281,14 @@ class FractionTable:
 
 def fraction_table(system: GoodnessSystem, up_to: int,
                    max_subsets: int = 2_000_000) -> FractionTable:
-    """Exact ``p_i``/``q_i`` for ``i = 1..up_to`` in a single enumeration."""
+    """Exact ``p_i``/``q_i`` for ``i = 1..up_to`` in a single enumeration.
+
+    ``p_i`` is the minimum of ``|f(I)| / N`` and ``q_i`` the maximum of
+    ``|h(I)| / N`` over all B-constrained sets ``I`` with ``|I| <= i``, the
+    empty set included.
+    """
     if not 1 <= up_to <= system.size:
-        raise ValueError("up_to must lie in 1..N")
+        raise ValueError(f"index must lie in 1..{system.size}, got {up_to}")
     view = _MaskView(system)
     n = system.size
     min_f = [Fraction(1)] * (up_to + 1)
@@ -318,14 +296,19 @@ def fraction_table(system: GoodnessSystem, up_to: int,
     for size, mask in _sweep_constrained(view, up_to, max_subsets):
         min_f[size] = min(min_f[size], Fraction(view.f_mask(mask).bit_count(), n))
         max_h[size] = max(max_h[size], Fraction(view.h_mask(mask).bit_count(), n))
-    p, q = [], []
-    running_p, running_q = Fraction(1), Fraction(0)
-    for size in range(1, up_to + 1):
-        running_p = min(running_p, min_f[size])
-        running_q = max(running_q, max_h[size])
-        p.append(running_p)
-        q.append(running_q)
-    return FractionTable(p=tuple(p), q=tuple(q), exact=True)
+    # Running extrema from size 0 on, so f(empty) and h(empty) count at every i.
+    return FractionTable(p=tuple(accumulate(min_f, min))[1:],
+                         q=tuple(accumulate(max_h, max))[1:], exact=True)
+
+
+def compute_p(system: GoodnessSystem, i: int, max_subsets: int = 2_000_000) -> Fraction:
+    """Worst-case good fraction ``p_i`` of :func:`fraction_table`."""
+    return fraction_table(system, i, max_subsets).p_at(i)
+
+
+def compute_q(system: GoodnessSystem, i: int, max_subsets: int = 2_000_000) -> Fraction:
+    """Worst-case violating fraction ``q_i`` of :func:`fraction_table`."""
+    return fraction_table(system, i, max_subsets).q_at(i)
 
 
 def construction_success_bound(table: FractionTable, L: int,
@@ -377,19 +360,19 @@ def randomized_construct(system: GoodnessSystem, L: int, max_restarts: int,
 
     Each attempt draws ``L`` elements i.i.d. uniformly from the universe and
     succeeds iff they are pairwise distinct and the resulting set is mutually
-    good and B-constrained.  Returns the first success within
-    ``max_restarts`` attempts, else ``None``.  Deterministic under ``seed``.
+    good and B-constrained.  All attempts are drawn in one
+    ``(max_restarts, L)`` call, which yields the same rows as one call per
+    attempt.  Returns the first success, else ``None``.  Deterministic under
+    ``seed``.
     """
     if not 1 <= L <= system.size:
         raise ValueError("L must lie in 1..N")
     if max_restarts < 1:
         raise ValueError("max_restarts must be at least 1")
-    rng = generator(seed)
-    for _ in range(max_restarts):
-        draws = rng.integers(0, system.size, size=L)
-        if len(set(draws.tolist())) < L:
+    for draws in generator(seed).integers(0, system.size, size=(max_restarts, L)).tolist():
+        if len(set(draws)) < L:
             continue
-        candidate = frozenset(system.universe[i] for i in draws.tolist())
+        candidate = frozenset(system.universe[i] for i in draws)
         if is_mutually_good(system, candidate) and is_constrained(system, candidate):
             return candidate
     return None

@@ -7,6 +7,8 @@ computations with no floating point involved.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import BudgetError
 from .instance import Instance, NiceSetResult, is_nice, union_conflict_graph
 from .rng import derive_seed, generator
@@ -137,20 +139,29 @@ def greedy_nice(inst: Instance, tie_break: str = "smallest-index",
 def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> NiceSetResult:
     """Nice set found by the uniform randomized constructor.
 
-    Scans target sizes ``L = m .. 1`` and, for each, runs the mutually-good
-    constrained-set sampler on the instance's goodness system; the first size
-    with a successful draw wins.  ``L = 1`` always succeeds, so a set is
-    always returned.  Deterministic under ``seed``.
+    Scans target sizes ``L`` downward from the greedy clique-cover bound of
+    the union graph (no nice set is larger, so no size above it can succeed)
+    to 1.  Size ``L`` draws all ``max_restarts`` rows of ``L`` uniform
+    vertices in one call from its own seed ``derive_seed(seed, L)``, and the
+    first row that is distinct and stable in the union-graph bitmasks wins.
+    This is exactly the draw sequence and acceptance test of
+    :func:`~niceset.goodness.randomized_construct` on the instance's goodness
+    system.  ``L = 1`` always succeeds, so a set is always returned.
+    Deterministic under ``seed``.
     """
-    from .goodness import instance_system, randomized_construct
-
-    system = instance_system(inst)
-    for target in range(inst.m, 0, -1):
-        found = randomized_construct(system, target, max_restarts=max_restarts,
-                                     seed=derive_seed(seed, target))
-        if found is not None:
-            vertices = frozenset(found)
-            _check_witness(vertices, inst)
-            return NiceSetResult(vertices=vertices, size=len(vertices),
-                                 method="randomized", seed=seed)
+    if max_restarts < 1:
+        raise ValueError("max_restarts must be at least 1")
+    m = inst.m
+    adj = _adjacency_masks(inst)
+    for target in range(_clique_cover_bound((1 << m) - 1, adj), 0, -1):
+        draws = generator(derive_seed(seed, target)).integers(0, m, size=(max_restarts, target))
+        ordered = np.sort(draws, axis=1)
+        distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        for row in draws[distinct].tolist():
+            mask = sum(1 << v for v in row)  # rows are distinct, so sum == union
+            if not any(adj[v] & mask for v in row):
+                vertices = _mask_to_vertices(mask)
+                _check_witness(vertices, inst)
+                return NiceSetResult(vertices=vertices, size=target,
+                                     method="randomized", seed=seed)
     raise AssertionError("unreachable: singleton draws always succeed")

@@ -198,6 +198,54 @@ def test_missing_file_exits_one(capsys):
     assert code == 1
 
 
+# SHA-256 of each report written with --json, recorded before the randomized
+# solver moved from the goodness-system sampler to union-graph bitmasks
+GOLDEN_REPORTS = {
+    "upper-exact": (
+        ["simulate-upper", "--m", "30", "--p", "0.2", "--solver", "exact",
+         "--trials", "6", "--seed", "11"],
+        "1392e989587fcfdbcd4c5492f525488b6b0d2cd2ae8400ebea8e71ba2a24eebc"),
+    "upper-greedy": (
+        ["simulate-upper", "--m", "40", "--p", "0.3", "--solver", "greedy",
+         "--trials", "6", "--seed", "11"],
+        "25cd1b1612e859e469f0beaa89100fc5f247d8dbeaa246b29dbb12ccfda60e3a"),
+    "upper-randomized-uniform-k": (
+        ["simulate-upper", "--m", "40", "--p", "0.1", "--solver", "randomized",
+         "--conflict", "uniform-k", "--k", "1", "--trials", "6", "--seed", "11"],
+        "eddddb7b4cf2595c1719f6b3a595544cac0c0020ffb3157987195d2815ece727"),
+    "lower-exact-uniform-k": (
+        ["simulate-lower", "--m", "30", "--p", "0.2", "--solver", "exact",
+         "--conflict", "uniform-k", "--k", "2", "--trials", "6", "--seed", "12"],
+        "87a3207b166d628ec86d5efa0e9e8d94e050b048dfb446561337f1e9194e705d"),
+    "lower-greedy": (
+        ["simulate-lower", "--m", "40", "--p", "0.3", "--solver", "greedy",
+         "--trials", "6", "--seed", "12"],
+        "ec1bec89d910bf4bef608226e52eae0460e120bb46a4649f726ab433d107bdf6"),
+    "lower-randomized": (
+        ["simulate-lower", "--m", "30", "--p", "0.2", "--solver", "randomized",
+         "--trials", "6", "--seed", "12"],
+        "4c0368aed916e832c0b8b422e5411b8892b58174b38e636f0fd80f14393d2498"),
+    "verify-lemma": (
+        ["verify-lemma", "--count", "25", "--n-max", "6", "--seed", "3"],
+        "fe9432119f4a6dcebd2165ff27bca7bfa3bed486dbcb00a11ed66643675bbf64"),
+    "chernoff": (
+        ["chernoff", "--r", "40", "--p", "0.3", "--trials", "2000", "--seed", "4"],
+        "3325a2bc356d20acef227b8210eae0c66a5c264045f5d88f21577be291425289"),
+    "bounds": (
+        ["bounds", "--m", "100", "--p", "0.5", "--gamma", "1", "--tau", "1.5"],
+        "b5e192ae123d966450869a3d0b49a14b69a2612c19bc1574d54389c712cc75b6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_golden_digests(capsys, tmp_path, name):
+    argv, digest = GOLDEN_REPORTS[name]
+    out_path = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, argv + ["--json", str(out_path)])
+    assert code == 0, err
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--m", "100", "--p", "0.5", "--gamma", "1"],
     ["simulate-upper", "--m", "10", "--p", "0.5", "--trials", "5", "--seed", "2"],

@@ -14,6 +14,8 @@ from niceset import (BudgetError, ConflictSpec, FractionTable, GoodnessSystem,
                      randomized_construct, sample_instance,
                      system_from_singletons)
 
+from niceset.rng import generator
+
 from .conftest import edgeless_system, mutually_good_by_definition
 
 
@@ -133,6 +135,21 @@ def test_fraction_table_matches_pointwise_and_is_monotone():
         assert all(a <= b for a, b in zip(table.q, table.q[1:]))
 
 
+def test_fraction_table_counts_the_empty_set_in_q():
+    # h(empty) = {1}: element 1 is rejected only while nothing is chosen, so
+    # q_1 must be 1/4, which attempt_success_bound's (1 - q_1) factor needs
+    universe = (1, 2, 3, 4)
+    system = system_from_singletons(universe, {v: universe for v in universe},
+                                    g=lambda x, chosen: 1 if (x == 1 and not chosen) else 0,
+                                    values={0, 1}, accepting={0})
+    assert h_set(system, set()) == frozenset({1})
+    assert compute_q(system, 1) == Fraction(1, 4)
+    table = fraction_table(system, 3)
+    assert table.q == (Fraction(1, 4),) * 3
+    assert table.p == (1, 1, 1)
+    assert attempt_success_bound(table, 4, 2) == Fraction(3, 4) * Fraction(2, 4)
+
+
 def test_fraction_table_type_validation():
     with pytest.raises(ValueError):
         FractionTable(p=(Fraction(1, 2), Fraction(3, 4)), q=(0, 0))  # p increases
@@ -194,6 +211,19 @@ def test_randomized_construct_trivial_systems(k4_system):
     assert randomized_construct(e4, 4, max_restarts=200, seed=0) == frozenset({1, 2, 3, 4})
     for seed in range(10):
         assert randomized_construct(k4_system, 2, max_restarts=100, seed=seed) is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 60, 61, 800])
+@pytest.mark.parametrize("L", [1, 2, 5, 13, 60])
+def test_batched_draws_equal_sequential_draws(m, L):
+    # randomized_construct and randomized_nice draw all restarts in one call;
+    # their results match one call per restart only because of this property
+    restarts = 9
+    for seed in range(20):
+        batched = generator(derive_seed(seed, L)).integers(0, m, size=(restarts, L))
+        rng = generator(derive_seed(seed, L))
+        sequential = [rng.integers(0, m, size=L) for _ in range(restarts)]
+        assert batched.tolist() == [row.tolist() for row in sequential]
 
 
 def test_randomized_construct_validation(path_system):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import niceset
-from niceset import (BudgetError, ConflictSpec, Instance, derive_seed, greedy_nice,
-                     is_nice, max_nice_exact, randomized_nice, sample_instance, solvers)
+from niceset import (BudgetError, ConflictSpec, Instance, NiceSetResult, derive_seed,
+                     goodness, greedy_nice, instance_system, is_nice, max_nice_exact,
+                     randomized_construct, randomized_nice, sample_instance, solvers)
 
 from .conftest import enumerate_max_nice
 
@@ -100,6 +101,62 @@ def test_randomized_finds_everything_on_edgeless_graph():
     inst = Instance(5)
     result = randomized_nice(inst, max_restarts=300, seed=0)
     assert result.vertices == frozenset({1, 2, 3, 4, 5})
+
+
+def test_randomized_rejects_non_positive_restarts():
+    with pytest.raises(ValueError, match="max_restarts"):
+        randomized_nice(Instance(3), max_restarts=0)
+    with pytest.raises(ValueError, match="max_restarts"):
+        randomized_nice(complete_instance(3), max_restarts=-2)
+
+
+def reference_randomized_scan(inst, max_restarts, seed):
+    """The scan over every size ``L = m .. 1`` with the generic sampler on the
+    instance's goodness system, one seed per size."""
+    system = instance_system(inst)
+    for target in range(inst.m, 0, -1):
+        found = randomized_construct(system, target, max_restarts=max_restarts,
+                                     seed=derive_seed(seed, target))
+        if found is not None:
+            return NiceSetResult(vertices=found, size=len(found), method="randomized",
+                                 seed=seed)
+    raise AssertionError("singleton draws always succeed")
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 40),
+       p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       k=st.sampled_from([0, 1, 2]), max_restarts=st.sampled_from([1, 7, 100]),
+       seed=st.integers(0, 2**32))
+def test_randomized_matches_reference_scan(m, p, k, max_restarts, seed):
+    spec = ConflictSpec.uniform(min(k, m - 1)) if k and m > 1 else ConflictSpec.none()
+    inst = sample_instance(m, p, spec, seed=derive_seed(seed, 0))
+    assert randomized_nice(inst, max_restarts, seed) == \
+        reference_randomized_scan(inst, max_restarts, seed)
+
+
+def test_randomized_skips_sizes_above_the_clique_cover_bound(monkeypatch):
+    # a complete graph is one clique, so only L = 1 is drawn
+    seeds = []
+
+    def recording(seed):
+        seeds.append(seed)
+        return niceset.rng.generator(seed)
+
+    monkeypatch.setattr(solvers, "generator", recording)
+    assert randomized_nice(complete_instance(9), seed=5).size == 1
+    assert seeds == [derive_seed(5, 1)]
+
+
+def test_randomized_runs_without_the_goodness_system(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("randomized_nice reached the goodness callables")
+
+    monkeypatch.setattr(goodness, "instance_system", unused)
+    monkeypatch.setattr(goodness, "randomized_construct", unused)
+    inst = sample_instance(60, 0.1, ConflictSpec.uniform(1), seed=3)
+    result = randomized_nice(inst, seed=3)
+    assert is_nice(result.vertices, inst) and result.size > 1
 
 
 @pytest.mark.parametrize("solve", [max_nice_exact, greedy_nice, randomized_nice])
