@@ -17,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -77,13 +78,24 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
     The header row supplies feature names; without one, names are
     ``f1..fm``.  Blank lines are ignored.  Ragged rows, non-numeric or
     non-finite cells, and bodies with fewer than 3 rows raise
-    :class:`CsvError` naming the offending record and column.  Missing
-    values are rejected, not imputed.
+    :class:`CsvError` naming the offending record and column; so do text
+    that is not UTF-8 and records the ``csv`` module rejects (such as a
+    field over its size limit), naming the file.  Missing values are
+    rejected, not imputed.
+
+    Every cell is parsed by Python's ``float`` in one pass over the records.
+    Only a rejected input is walked again, record by record and cell by
+    cell, to report the first offending cell in file order.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        records = [(number, record)
-                   for number, record in enumerate(csv.reader(handle, delimiter=delimiter), start=1)
-                   if record]
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            records = [(number, record) for number, record in enumerate(reader, start=1)
+                       if record]
+        except csv.Error as exc:
+            raise CsvError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CsvError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not records:
         raise CsvError(f"{path}: empty file")
     names: list[str] | None = None
@@ -95,41 +107,55 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
     if not body:
         raise CsvError(f"{path}: no data rows")
     width = len(body[0][1]) if names is None else len(names)
-    rows: list[list[float]] = []
+    good = next((i for i, (_, record) in enumerate(body) if len(record) != width), len(body))
+    cells = chain.from_iterable(record for _, record in body[:good])
+    try:
+        data = np.fromiter(map(float, cells), dtype=float, count=good * width)
+    except ValueError:
+        data = None
+    if data is None or good < len(body) or not np.isfinite(data).all():
+        raise _first_cell_error(path, body, names, width)
+    if len(body) < 3:
+        raise CsvError(f"{path}: need at least 3 data rows, got {len(body)}")
+    if names is None:
+        names = [f"f{j}" for j in range(1, width + 1)]
+    return FeatureMatrix(names=tuple(names), data=data.reshape(len(body), width))
+
+
+def _first_cell_error(path, body, names: list[str] | None, width: int) -> CsvError:
+    """The error for the first bad record or cell of a rejected CSV body, in
+    file order: a ragged record, else a cell ``float`` rejects, else a
+    non-finite value."""
     for number, record in body:
         if len(record) != width:
-            raise CsvError(f"{path}: record {number} has {len(record)} fields, expected {width}",
-                           record=number)
-        row = []
+            return CsvError(f"{path}: record {number} has {len(record)} fields, expected {width}",
+                            record=number)
         for col, cell in enumerate(record, start=1):
             label = names[col - 1] if names else f"f{col}"
             try:
                 value = float(cell)
             except ValueError:
-                raise CsvError(f"{path}: record {number}, column {label!r}: "
-                               f"not a number: {cell!r}", record=number, column=label) from None
+                return CsvError(f"{path}: record {number}, column {label!r}: "
+                                f"not a number: {cell!r}", record=number, column=label)
             if not math.isfinite(value):
-                raise CsvError(f"{path}: record {number}, column {label!r}: "
-                               f"non-finite value {cell!r}", record=number, column=label)
-            row.append(value)
-        rows.append(row)
-    if len(rows) < 3:
-        raise CsvError(f"{path}: need at least 3 data rows, got {len(rows)}")
-    if names is None:
-        names = [f"f{j}" for j in range(1, width + 1)]
-    return FeatureMatrix(names=tuple(names), data=np.array(rows, dtype=float))
+                return CsvError(f"{path}: record {number}, column {label!r}: "
+                                f"non-finite value {cell!r}", record=number, column=label)
+    raise RuntimeError(f"{path}: rejected CSV body has no bad record or cell")
 
 
-def _check_variances(fm: FeatureMatrix, indices: Iterable[int]) -> None:
-    for j in indices:
-        if float(np.std(fm.column(j))) == 0.0:
-            raise ValueError(f"feature {fm.names[j - 1]!r} (column {j}) is constant")
+def _check_variances(fm: FeatureMatrix) -> None:
+    # Fortran order sums each column contiguously, as a per-column np.std
+    # does, so the zero test sees the same bits.
+    constant = np.flatnonzero(np.std(np.asfortranarray(fm.data), axis=0) == 0.0)
+    if constant.size:
+        j = int(constant[0]) + 1
+        raise ValueError(f"feature {fm.names[j - 1]!r} (column {j}) is constant")
 
 
 def pearson_matrix(fm: FeatureMatrix) -> np.ndarray:
     """Sample Pearson correlations of all column pairs: symmetric, unit
     diagonal, entries in [-1, 1].  Constant columns are rejected."""
-    _check_variances(fm, range(1, fm.m + 1))
+    _check_variances(fm)
     corr = np.corrcoef(fm.data, rowvar=False)
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
@@ -144,9 +170,9 @@ def collinearity_graph(corr: np.ndarray, lambda_c: float) -> frozenset[Edge]:
     corr = np.asarray(corr)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise ValueError("correlation matrix must be square")
-    m = corr.shape[0]
-    return frozenset((u + 1, v + 1) for u in range(m) for v in range(u + 1, m)
-                     if abs(corr[u, v]) >= lambda_c)
+    rows, cols = np.triu_indices(corr.shape[0], k=1)
+    hit = np.abs(corr[rows, cols]) >= lambda_c
+    return frozenset(zip((rows[hit] + 1).tolist(), (cols[hit] + 1).tolist()))
 
 
 def _standardize(column: np.ndarray, what: str) -> np.ndarray:
@@ -154,6 +180,18 @@ def _standardize(column: np.ndarray, what: str) -> np.ndarray:
     if sd == 0.0:
         raise ValueError(f"{what} is constant; cannot standardize")
     return (column - float(np.mean(column))) / sd
+
+
+def _standardized_columns(fm: FeatureMatrix) -> np.ndarray:
+    """All columns standardized at once, bit for bit as :func:`_standardize`
+    does each: Fortran order sums each column contiguously, as a 1-d
+    reduction does, and the result is returned in C order."""
+    columns = np.asfortranarray(fm.data)
+    sd = np.std(columns, axis=0)
+    constant = np.flatnonzero(sd == 0.0)
+    if constant.size:
+        raise ValueError(f"feature {fm.names[constant[0]]!r} is constant; cannot standardize")
+    return np.ascontiguousarray((columns - np.mean(columns, axis=0)) / sd)
 
 
 def _fit_standardized(fm: FeatureMatrix, j: int, regressors: tuple[int, ...]):
@@ -227,23 +265,23 @@ def conflict_sets(fm: FeatureMatrix, lambda_mc: float, k_top: int = 3) -> dict[i
     n, m = fm.n, fm.m
     if n <= m:
         raise ValueError(f"need n > {m} observations, got {n}")
-    design = np.column_stack([
-        _standardize(fm.column(j), f"feature {fm.names[j - 1]!r}") for j in range(1, m + 1)
-    ])
+    design = _standardized_columns(fm)
     corr = design.T @ design / n
     inverse = np.linalg.inv(corr + _RIDGE * np.eye(m))
     coef = -inverse / np.diag(inverse)[:, None]
     np.fill_diagonal(coef, 0.0)
     r2 = np.clip(np.sum(coef * corr, axis=1) + _RIDGE * np.sum(coef ** 2, axis=1), 0.0, 1.0)
+    fits = ~(r2 >= 1.0 - 1e-12)  # the rest reach the cap; a NaN R^2 does not
+    factor = np.full(m, VIF_MAX)
+    factor[fits] = np.minimum(1.0 / (1.0 - r2[fits]), VIF_MAX)
     raw: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
-    for v in range(1, m + 1):
-        fit = float(r2[v - 1])
-        factor = VIF_MAX if fit >= 1.0 - 1e-12 else min(1.0 / (1.0 - fit), VIF_MAX)
-        if factor > lambda_mc:
-            magnitudes = np.abs(coef[v - 1])  # zero at v itself, so never a partner
-            floor = max(_COEF_FLOOR, 0.01 * float(magnitudes.max()))
-            ranked = sorted(np.flatnonzero(magnitudes > floor), key=lambda u: (-magnitudes[u], u))
-            raw[v] = {int(u) + 1 for u in ranked[:k_top]}
+    for v in np.flatnonzero(factor > lambda_mc).tolist():
+        magnitudes = np.abs(coef[v])  # zero at v itself, so never a partner
+        floor = max(_COEF_FLOOR, 0.01 * float(magnitudes.max()))
+        partners = np.flatnonzero(magnitudes > floor)
+        # a stable sort keeps ties in index order: the smaller index first
+        ranked = partners[np.argsort(-magnitudes[partners], kind="stable")]
+        raw[v + 1] = set((ranked[:k_top] + 1).tolist())
     for v in range(1, m + 1):
         for u in raw[v].copy():
             raw[u].add(v)

@@ -192,10 +192,12 @@ def sample_instance(m: int, p: float, spec: ConflictSpec | None = None,
 
     conflicts: dict[int, set[int]] = {}
     if spec.kind == "uniform-k" and spec.k > 0:
+        # index i of the m-1 candidates other than v is vertex i+1 below v,
+        # i+2 from v on; an integer population draws the same stream as the
+        # array of those candidates
         for v in range(1, m + 1):
-            candidates = np.array([u for u in range(1, m + 1) if u != v])
-            picks = rng.choice(candidates, size=spec.k, replace=False)
-            conflicts[v] = {int(u) for u in picks}
+            picks = rng.choice(m - 1, size=spec.k, replace=False) + 1
+            conflicts[v] = set(np.where(picks < v, picks, picks + 1).tolist())
     return Instance(m=m, edges=edges, conflicts=conflicts)
 
 

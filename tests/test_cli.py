@@ -192,6 +192,20 @@ def test_budget_error_exits_two(capsys, tmp_path):
     assert "greedy" in err
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"a,b\n1,2\n" + b"1" * 200_000 + b",2\n3,4\n", "line 3: field larger than field limit"),
+    (b"a,b\n1,2\n3,\xe94\n5,6\n", "not UTF-8 text"),
+], ids=["field-over-limit", "not-utf8"])
+def test_unreadable_csv_exits_one(capsys, tmp_path, body, message):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(body)
+    code, _, err = run_cli(capsys, ["select", "--input", str(csv_path),
+                                    "--lambda-c", "0.8", "--lambda-mc", "5"])
+    assert code == 1
+    assert err.startswith(f"error: {csv_path}: ")
+    assert message in err
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, ["select", "--input", "/nonexistent.csv",
                                     "--lambda-c", "0.8", "--lambda-mc", "5"])

@@ -1,5 +1,8 @@
 """CSV ingestion, correlations, VIF, conflict sets, and end-to-end selection."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from niceset import (BudgetError, CsvError, FeatureMatrix, VIF_MAX, build_instance,
                      collinearity_graph, conflict_sets, features, is_nice, load_csv,
                      pearson_matrix, select_features, vif)
-from niceset.features import _COEF_FLOOR, _fit_standardized
+from niceset.features import (_COEF_FLOOR, _fit_standardized, _standardize,
+                              _standardized_columns)
 
 from .conftest import planted_block_matrix
 
@@ -63,6 +67,138 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, ""))
 
 
+def test_load_csv_rejects_a_field_over_the_csv_limit(tmp_path):
+    path = write(tmp_path, "a,b\n1,2\n" + "1" * (csv.field_size_limit() + 10) + ",2\n3,4\n")
+    with pytest.raises(CsvError, match="line 3: field larger than field limit") as info:
+        load_csv(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_csv_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,b\n1,2\n3,\u00e94\n5,6\n".encode("latin-1"))
+    with pytest.raises(CsvError, match="not UTF-8 text") as info:
+        load_csv(path)
+    assert str(path) in str(info.value)
+
+
+def reference_load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatrix:
+    """Reference: the cell-by-cell loader, in file order."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        records = [(number, record)
+                   for number, record in enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+                   if record]
+    if not records:
+        raise CsvError(f"{path}: empty file")
+    names: list[str] | None = None
+    if has_header:
+        names = [cell.strip() for cell in records[0][1]]
+        body = records[1:]
+    else:
+        body = records
+    if not body:
+        raise CsvError(f"{path}: no data rows")
+    width = len(body[0][1]) if names is None else len(names)
+    rows: list[list[float]] = []
+    for number, record in body:
+        if len(record) != width:
+            raise CsvError(f"{path}: record {number} has {len(record)} fields, expected {width}",
+                           record=number)
+        row = []
+        for col, cell in enumerate(record, start=1):
+            label = names[col - 1] if names else f"f{col}"
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvError(f"{path}: record {number}, column {label!r}: "
+                               f"not a number: {cell!r}", record=number, column=label) from None
+            if not math.isfinite(value):
+                raise CsvError(f"{path}: record {number}, column {label!r}: "
+                               f"non-finite value {cell!r}", record=number, column=label)
+            row.append(value)
+        rows.append(row)
+    if len(rows) < 3:
+        raise CsvError(f"{path}: need at least 3 data rows, got {len(rows)}")
+    if names is None:
+        names = [f"f{j}" for j in range(1, width + 1)]
+    return FeatureMatrix(names=tuple(names), data=np.array(rows, dtype=float))
+
+
+def outcome(loader, path, **kwargs):
+    """What a loader does with a file: its names and data bytes, or its
+    error's type, message and coordinates."""
+    try:
+        fm = loader(path, **kwargs)
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "record", None), getattr(exc, "column", None))
+    return fm.names, fm.data.shape, fm.data.tobytes()
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_000", " 1.5 ", "\u0661\u0662", "\uff13.5", "-0", "+.5e-3", '"7"']),
+)
+ODD_CELLS = st.sampled_from(["inf", "-Infinity", "nan", "NaN", "1e400", "-1e400", "", " ",
+                             "x", "1.2.3", "--1", "0x10", '"a;b,c"', '" 2 "', '"inf"'])
+
+
+@st.composite
+def csv_texts(draw):
+    clean = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    cells = NUMBER_CELLS if clean else st.one_of(NUMBER_CELLS, NUMBER_CELLS, ODD_CELLS)
+    lines = []
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.append([f"c{j}" for j in range(width)])
+    for _ in range(draw(st.integers(0, 6))):
+        if not clean and draw(st.integers(0, 9)) == 0:
+            lines.append([])  # a blank line
+            continue
+        row_width = width if clean else draw(st.sampled_from([width] * 6 + [width - 1, width + 1]))
+        lines.append(draw(st.lists(cells, min_size=row_width, max_size=row_width)))
+    delimiter = draw(st.sampled_from([",", ";"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(delimiter.join(line) for line in lines) + newline
+    return text, delimiter, has_header
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_texts())
+def test_load_csv_matches_reference_loader(tmp_path_factory, case):
+    text, delimiter, has_header = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    kwargs = dict(delimiter=delimiter, has_header=has_header)
+    assert outcome(load_csv, path, **kwargs) == outcome(reference_load_csv, path, **kwargs)
+
+
+@pytest.mark.parametrize("text, record, column, message", [
+    # a non-finite cell before a later non-number, across and within records,
+    # and the reverse
+    ("a,b\n1,2\n3,inf\n4,x\n5,6\n", 3, "b", "record 3, column 'b': non-finite value 'inf'"),
+    ("a,b,c\n1,2,3\nnan,x,3\n4,5,6\n", 3, "a", "record 3, column 'a': non-finite value 'nan'"),
+    ("a,b\n1,2\n3,x\n4,1e400\n5,6\n", 3, "b", "record 3, column 'b': not a number: 'x'"),
+    # a non-number before a later ragged record, and after one
+    ("a,b\n1,2\n\"\",3\n4\n5,6\n", 3, "a", "record 3, column 'a': not a number: ''"),
+    ("a,b\n1,2\n4\n3,x\n5,6\n", 3, None, "record 3 has 1 fields, expected 2"),
+    # a ragged record before a later non-finite cell, and after one
+    ("a,b\n1,2\n\n3\n4,inf\n5,6\n", 4, None, "record 4 has 1 fields, expected 2"),
+    ("a,b\n1,2\n4,-inf\n3,4,5\n5,6\n", 3, "b", "record 3, column 'b': non-finite value '-inf'"),
+    # errors in the body come before the row count
+    ("a,b\n1,x\n", 2, "b", "record 2, column 'b': not a number: 'x'"),
+])
+def test_load_csv_reports_the_first_bad_cell_in_file_order(tmp_path, text, record, column,
+                                                           message):
+    path = write(tmp_path, text)
+    with pytest.raises(CsvError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+    assert (info.value.record, info.value.column) == (record, column)
+    assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+
+
 def test_feature_matrix_validation():
     with pytest.raises(ValueError):
         FeatureMatrix(names=("a",), data=np.ones((5, 1)))       # m < 2
@@ -102,6 +238,49 @@ def test_pearson_matrix_properties(seed, n, m):
     assert np.array_equal(corr, corr.T)
     assert np.all(np.abs(corr) <= 1.0 + 1e-12)
     assert np.allclose(np.diag(corr), 1.0)
+
+
+def test_pearson_rejects_the_first_constant_column_by_name():
+    # nine 0.1s have a zero np.std as a column, but not in a row-wise reduction
+    rng = np.random.default_rng(8)
+    data = np.column_stack([rng.normal(size=9), np.full(9, 0.1), rng.normal(size=9),
+                            np.zeros(9)])
+    with pytest.raises(ValueError) as info:
+        pearson_matrix(FeatureMatrix(names=("a", "b", "c", "d"), data=data))
+    assert str(info.value) == "feature 'b' (column 2) is constant"
+
+
+def reference_collinearity_graph(corr: np.ndarray, lambda_c: float):
+    """Reference: the pair-by-pair threshold test."""
+    m = corr.shape[0]
+    return frozenset((u + 1, v + 1) for u in range(m) for v in range(u + 1, m)
+                     if abs(corr[u, v]) >= lambda_c)
+
+
+def test_collinearity_graph_matches_reference_at_the_threshold():
+    rng = np.random.default_rng(21)
+    x, y = rng.normal(size=(2, 50))
+    data = np.column_stack([x, x, -x, y, 3.0 * x + 1.0, -y])
+    corr = pearson_matrix(FeatureMatrix(names=tuple("abcdef"), data=data))
+    # duplicate, negated and rescaled columns sit at |corr| = 1 up to rounding;
+    # each threshold below equals some entry exactly
+    at = [float(abs(corr[u, v])) for u, v in ((0, 1), (0, 2), (0, 4), (3, 5))]
+    for lambda_c in (1.0, *at, 0.5, 1e-3):
+        edges = collinearity_graph(corr, lambda_c)
+        assert edges == reference_collinearity_graph(corr, lambda_c)
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+    assert (1, 2) in collinearity_graph(corr, at[0])
+    assert (4, 6) in collinearity_graph(corr, at[3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 9), seed=st.integers(0, 10**6),
+       lambda_c=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+def test_collinearity_graph_matches_reference_on_grid_values(m, seed, lambda_c):
+    # entries on a quarter grid hit the threshold exactly
+    grid = np.random.default_rng(seed).integers(-4, 5, size=(m, m)) / 4.0
+    corr = (grid + grid.T) / 2.0
+    assert collinearity_graph(corr, lambda_c) == reference_collinearity_graph(corr, lambda_c)
 
 
 def test_collinearity_graph_boundary_inclusive():
@@ -179,6 +358,24 @@ def test_r_squared_stays_in_unit_interval(seed, n, m):
 
 # -------------------------------------------------------------- conflict sets
 
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 127, 128, 129, 1000])
+def test_standardized_columns_match_per_column_standardize(n):
+    rng = np.random.default_rng(n)
+    data = rng.normal(size=(n, 5)) * [1.0, 1e-3, 1e6, 0.1, 7.0] + [0.0, 5.0, -3e6, 0.1, 1e9]
+    fm = FeatureMatrix(names=tuple("abcde"), data=data)
+    expected = np.column_stack([_standardize(fm.column(j), "") for j in range(1, 6)])
+    assert _standardized_columns(fm).tobytes() == expected.tobytes()
+
+
+def test_conflict_sets_reject_the_first_constant_column_by_name():
+    rng = np.random.default_rng(8)
+    data = np.column_stack([rng.normal(size=9), rng.normal(size=9), np.full(9, 0.1),
+                            np.zeros(9)])
+    with pytest.raises(ValueError) as info:
+        conflict_sets(FeatureMatrix(names=("a", "b", "c", "d"), data=data), lambda_mc=5.0)
+    assert str(info.value) == "feature 'c' is constant; cannot standardize"
+
+
 def test_conflict_sets_orthogonal_all_empty():
     fm = FeatureMatrix(names=("a", "b", "c"), data=ORTHOGONAL)
     assert all(not ts for ts in conflict_sets(fm, lambda_mc=5.0).values())
@@ -192,6 +389,16 @@ def test_conflict_sets_sum_example():
     family = conflict_sets(fm, lambda_mc=5.0, k_top=2)
     assert 3 in family[1] and 3 in family[2]
     assert {1, 2} <= family[3]
+
+
+def test_conflict_sets_break_coefficient_ties_to_the_smaller_index():
+    # w = u + v + e on orthogonal columns: VIF(w) = 3 and VIF(u) = VIF(v) = 2,
+    # and w's coefficients on u and v are equal to the last bit
+    u, v, e = ORTHOGONAL.T
+    fm = FeatureMatrix(names=("u", "v", "w"), data=np.column_stack([u, v, u + v + e]))
+    family = conflict_sets(fm, lambda_mc=2.5, k_top=1)
+    assert family == {1: frozenset({3}), 2: frozenset(), 3: frozenset({1})}
+    assert family == reference_conflict_sets(fm, lambda_mc=2.5, k_top=1)
 
 
 def test_conflict_sets_consistency_invariant():

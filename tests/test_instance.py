@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from niceset import (ConflictSpec, Instance, NiceSetResult, derive_seed, is_nice,
                      sample_instance, union_conflict_graph)
+from niceset.rng import generator
 
 
 def test_conflict_spec_validation():
@@ -61,6 +63,30 @@ def test_sampled_instances_satisfy_invariants(m, p, k, seed):
         assert len(inst.conflicts[v]) >= k
         for u in inst.conflicts[v]:
             assert v in inst.conflicts[u]
+
+
+def reference_sample_instance(m: int, p: float, spec: ConflictSpec, seed: int) -> Instance:
+    """Reference: one candidate array and one ``choice`` call per vertex."""
+    rng = generator(seed)
+    iu, jv = np.triu_indices(m, k=1)
+    hit = rng.random(iu.size) < p
+    edges = [(int(iu[t]) + 1, int(jv[t]) + 1) for t in np.nonzero(hit)[0]]
+    conflicts = {}
+    for v in range(1, m + 1):
+        candidates = np.array([u for u in range(1, m + 1) if u != v])
+        picks = rng.choice(candidates, size=spec.k, replace=False)
+        conflicts[v] = {int(u) for u in picks}
+    return Instance(m=m, edges=edges, conflicts=conflicts)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 60, 61, 200])
+def test_uniform_k_sampler_matches_reference(m):
+    for k in sorted({1, 2, m - 1} & set(range(1, m))):
+        spec = ConflictSpec.uniform(k)
+        for seed in range(20):
+            # equal fields are equal JSON; to_json would dominate the run time
+            assert sample_instance(m, 0.1, spec, seed=seed) == \
+                reference_sample_instance(m, 0.1, spec, seed)
 
 
 def test_edge_density_matches_p():
