@@ -143,10 +143,17 @@ def _first_cell_error(path, body, names: list[str] | None, width: int) -> CsvErr
     raise RuntimeError(f"{path}: rejected CSV body has no bad record or cell")
 
 
+def _constant(columns: np.ndarray, sd: np.ndarray | float) -> np.ndarray:
+    """Per column: all values equal, or a standard deviation of 0 (which an
+    equal-valued column need not have: 1000 rows of 0.1 give 1.4e-17)."""
+    return (columns.max(axis=0) == columns.min(axis=0)) | (sd == 0.0)
+
+
 def _check_variances(fm: FeatureMatrix) -> None:
     # Fortran order sums each column contiguously, as a per-column np.std
     # does, so the zero test sees the same bits.
-    constant = np.flatnonzero(np.std(np.asfortranarray(fm.data), axis=0) == 0.0)
+    columns = np.asfortranarray(fm.data)
+    constant = np.flatnonzero(_constant(columns, np.std(columns, axis=0)))
     if constant.size:
         j = int(constant[0]) + 1
         raise ValueError(f"feature {fm.names[j - 1]!r} (column {j}) is constant")
@@ -177,7 +184,7 @@ def collinearity_graph(corr: np.ndarray, lambda_c: float) -> frozenset[Edge]:
 
 def _standardize(column: np.ndarray, what: str) -> np.ndarray:
     sd = float(np.std(column))
-    if sd == 0.0:
+    if _constant(column, sd):
         raise ValueError(f"{what} is constant; cannot standardize")
     return (column - float(np.mean(column))) / sd
 
@@ -188,7 +195,7 @@ def _standardized_columns(fm: FeatureMatrix) -> np.ndarray:
     reduction does, and the result is returned in C order."""
     columns = np.asfortranarray(fm.data)
     sd = np.std(columns, axis=0)
-    constant = np.flatnonzero(sd == 0.0)
+    constant = np.flatnonzero(_constant(columns, sd))
     if constant.size:
         raise ValueError(f"feature {fm.names[constant[0]]!r} is constant; cannot standardize")
     return np.ascontiguousarray((columns - np.mean(columns, axis=0)) / sd)

@@ -13,7 +13,9 @@ union graph returned by :func:`union_conflict_graph`.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -64,6 +66,15 @@ class Instance:
     union at construction, so a partially specified family such as
     ``{3: {4}}`` becomes ``T(3) = {4}, T(4) = {3}``.  Self-conflicts and
     out-of-range vertices are rejected.
+
+    ``edges`` may also be an integer array of ``(u, v)`` rows and, with it,
+    ``conflicts`` an integer array of ``(v, u)`` rows meaning ``u in T(v)``
+    (as :func:`sample_instance` passes them).  Such arrays are validated in
+    numpy; only a rejected one is walked row by row, to raise the error the
+    equivalent pair list or mapping raises first.
+
+    The union-graph :attr:`adjacency` is kept with the instance but is not a
+    field: it is neither serialized nor compared.
     """
 
     m: int
@@ -74,38 +85,56 @@ class Instance:
                  conflicts: Mapping[int, Iterable[int]] | None = None):
         if m < 1:
             raise ValueError("m must be at least 1")
-        canon = set()
-        for pair in edges:
-            u, v = pair
-            self._check_vertex(u, m)
-            self._check_vertex(v, m)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            canon.add((min(u, v), max(u, v)))
-        family: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
-        for v, partners in (conflicts or {}).items():
-            self._check_vertex(v, m)
-            for u in partners:
-                self._check_vertex(u, m)
-                if u == v:
-                    raise ValueError(f"vertex {v} conflicts with itself")
-                family[v].add(u)
-                family[u].add(v)
+        if _is_pair_array(edges) and _is_pair_array(conflicts):
+            self._init_from_arrays(int(m), edges, conflicts)
+            return
+        canon = _canonical_edges(edges, m)
+        family = _conflict_family((conflicts or {}).items(), m)
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "edges", frozenset(canon))
-        object.__setattr__(self, "conflicts",
-                           {v: frozenset(family[v]) for v in range(1, m + 1)})
+        object.__setattr__(self, "conflicts", family)
 
-    @staticmethod
-    def _check_vertex(v: int, m: int) -> None:
-        if not 1 <= v <= m:
-            raise ValueError(f"vertex {v} out of range 1..{m}")
+    def _init_from_arrays(self, m: int, edges: np.ndarray, conflicts: np.ndarray) -> None:
+        if _rejects(edges, m):
+            _canonical_edges(edges.tolist(), m)  # raises the first pair's error
+        if _rejects(conflicts, m):
+            _conflict_family(((v, (u,)) for v, u in conflicts.tolist()), m)
+        adjacency = np.zeros((m, m), dtype=bool)
+        adjacency[conflicts[:, 0] - 1, conflicts[:, 1] - 1] = True
+        adjacency = adjacency | adjacency.T  # the family symmetrized by union
+        rows, cols = np.nonzero(adjacency)
+        partners = (cols + 1).tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=m)).tolist()
+        family = {v: frozenset(partners[start:end])
+                  for v, start, end in zip(range(1, m + 1), [0] + ends, ends)}
+        lo, hi = np.sort(edges, axis=1).T
+        adjacency[lo - 1, hi - 1] = True
+        adjacency[hi - 1, lo - 1] = True
+        adjacency.flags.writeable = False
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "edges", frozenset(zip(lo.tolist(), hi.tolist())))
+        object.__setattr__(self, "conflicts", family)
+        object.__setattr__(self, "adjacency", adjacency)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only ``m x m`` boolean union-graph adjacency: entry
+        ``[u-1, v-1]`` is true iff ``(u, v)`` is an edge or ``u in T(v)``.
+        Built once, on first use unless the constructor received arrays."""
+        pairs = list(self.edges)
+        pairs.extend((v, u) for v, ts in self.conflicts.items() for u in ts)
+        index = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
+        adjacency = np.zeros((self.m, self.m), dtype=bool)
+        adjacency[index[:, 0], index[:, 1]] = True
+        adjacency[index[:, 1], index[:, 0]] = True
+        adjacency.flags.writeable = False
+        return adjacency
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
     def edge_neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v, self.m)
+        _check_vertex(v, self.m)
         return frozenset(u for u in range(1, self.m + 1) if u != v and self.has_edge(u, v))
 
     def union_neighbors(self, v: int) -> frozenset[int]:
@@ -150,6 +179,53 @@ class Instance:
         return cls.from_dict(json.loads(text))
 
 
+def _check_vertex(v: int, m: int) -> None:
+    if not 1 <= v <= m:
+        raise ValueError(f"vertex {v} out of range 1..{m}")
+
+
+def _canonical_edges(pairs: Iterable[Iterable[int]], m: int) -> set[Edge]:
+    canon = set()
+    for pair in pairs:
+        u, v = pair
+        _check_vertex(u, m)
+        _check_vertex(v, m)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        canon.add((min(u, v), max(u, v)))
+    return canon
+
+
+def _conflict_family(items: Iterable[tuple[int, Iterable[int]]], m: int) -> dict[int, frozenset[int]]:
+    family: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
+    for v, partners in items:
+        _check_vertex(v, m)
+        for u in partners:
+            _check_vertex(u, m)
+            if u == v:
+                raise ValueError(f"vertex {v} conflicts with itself")
+            family[v].add(u)
+            family[u].add(v)
+    return {v: frozenset(family[v]) for v in range(1, m + 1)}
+
+
+def _is_pair_array(pairs) -> bool:
+    return (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"
+            and pairs.ndim == 2 and pairs.shape[1] == 2)
+
+
+def _rejects(pairs: np.ndarray, m: int) -> bool:
+    """True iff a row has an out-of-range vertex or repeats its vertex."""
+    return bool(((pairs < 1) | (pairs > m)).any() or (pairs[:, 0] == pairs[:, 1]).any())
+
+
+def adjacency_masks(rows: np.ndarray) -> list[int]:
+    """Each boolean adjacency row as an int bitmask, bit ``j`` for column
+    ``j`` (vertex ``j + 1``)."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
+
+
 @dataclass(frozen=True)
 class NiceSetResult:
     """A nice vertex set together with the solver that produced it."""
@@ -184,33 +260,33 @@ def sample_instance(m: int, p: float, spec: ConflictSpec | None = None,
         raise ValueError(f"uniform-k spec needs k <= m-1, got k={spec.k}, m={m}")
 
     rng = generator(seed)
-    edges: list[Edge] = []
-    if m >= 2:
-        iu, jv = np.triu_indices(m, k=1)
-        hit = rng.random(iu.size) < p
-        edges = [(int(iu[t]) + 1, int(jv[t]) + 1) for t in np.nonzero(hit)[0]]
+    iu, jv = np.triu_indices(m, k=1)
+    hit = rng.random(iu.size) < p
+    edges = np.column_stack((iu[hit], jv[hit])) + 1
 
-    conflicts: dict[int, set[int]] = {}
-    if spec.kind == "uniform-k" and spec.k > 0:
+    owners = np.arange(1, m + 1)
+    picks = np.empty((m, 0), dtype=np.intp)
+    if spec.k:
         # index i of the m-1 candidates other than v is vertex i+1 below v,
         # i+2 from v on; an integer population draws the same stream as the
         # array of those candidates
-        for v in range(1, m + 1):
-            picks = rng.choice(m - 1, size=spec.k, replace=False) + 1
-            conflicts[v] = set(np.where(picks < v, picks, picks + 1).tolist())
+        picks = np.array([rng.choice(m - 1, size=spec.k, replace=False) for _ in owners]) + 1
+    partners = np.where(picks < owners[:, None], picks, picks + 1)
+    conflicts = np.column_stack((np.repeat(owners, spec.k), partners.ravel()))
     return Instance(m=m, edges=edges, conflicts=conflicts)
 
 
 def is_nice(s: Iterable[int], inst: Instance) -> bool:
-    """True iff ``s`` spans no edge and no conflict-set membership."""
-    members = sorted(set(s))
+    """True iff ``s`` spans no edge and no conflict-set membership.  Members
+    are integers (numpy integers included); other types raise
+    :class:`TypeError`."""
+    members = sorted({operator.index(v) for v in s})
+    mask = 0
     for v in members:
-        Instance._check_vertex(v, inst.m)
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            if inst.has_edge(u, v) or v in inst.conflicts[u]:
-                return False
-    return True
+        _check_vertex(v, inst.m)
+        mask |= 1 << (v - 1)
+    rows = inst.adjacency[np.array(members, dtype=np.intp) - 1]
+    return not any(row & mask for row in adjacency_masks(rows))
 
 
 def union_conflict_graph(inst: Instance) -> frozenset[Edge]:
@@ -218,8 +294,5 @@ def union_conflict_graph(inst: Instance) -> frozenset[Edge]:
 
     A set is nice in ``inst`` exactly when it is stable in this relation.
     """
-    pairs = set(inst.edges)
-    for v, ts in inst.conflicts.items():
-        for u in ts:
-            pairs.add((min(u, v), max(u, v)))
-    return frozenset(pairs)
+    rows, cols = np.nonzero(np.triu(inst.adjacency, k=1))
+    return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))

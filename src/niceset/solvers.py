@@ -1,8 +1,9 @@
 """Exact, greedy, and randomized search for maximum nice vertex subsets.
 
-All three solvers reduce niceness to stability in the union graph and work on
-bitmasks (bit ``v-1`` stands for vertex ``v``), so they are exact integer
-computations with no floating point involved.
+All three solvers reduce niceness to stability in the union graph, read from
+the instance's cached boolean adjacency.  The exact and greedy solvers work on
+its rows as bitmasks (bit ``v-1`` stands for vertex ``v``), so they are exact
+integer computations with no floating point involved.
 """
 
 from __future__ import annotations
@@ -10,17 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetError
-from .instance import Instance, NiceSetResult, is_nice, union_conflict_graph
+from .instance import Instance, NiceSetResult, adjacency_masks, is_nice
 from .rng import derive_seed, generator
-
-
-def _adjacency_masks(inst: Instance) -> list[int]:
-    """Union-graph adjacency as bitmasks, indexed 0..m-1."""
-    adj = [0] * inst.m
-    for u, v in union_conflict_graph(inst):
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-    return adj
 
 
 def _bits(mask: int):
@@ -90,7 +82,7 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
     if node_budget <= 0:
         raise ValueError("node_budget must be positive")
     m = inst.m
-    adj = _adjacency_masks(inst)
+    adj = adjacency_masks(inst.adjacency)
     best_mask = _min_degree_greedy(adj, m)
     best_size = best_mask.bit_count()
     nodes = 0
@@ -129,7 +121,7 @@ def greedy_nice(inst: Instance, tie_break: str = "smallest-index",
     if tie_break not in ("smallest-index", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     rng = generator(seed if seed is not None else 0) if tie_break == "random" else None
-    mask = _min_degree_greedy(_adjacency_masks(inst), inst.m, rng=rng)
+    mask = _min_degree_greedy(adjacency_masks(inst.adjacency), inst.m, rng=rng)
     vertices = _mask_to_vertices(mask)
     _check_witness(vertices, inst)
     return NiceSetResult(vertices=vertices, size=len(vertices), method="greedy",
@@ -142,8 +134,9 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
     Scans target sizes ``L`` downward from the greedy clique-cover bound of
     the union graph (no nice set is larger, so no size above it can succeed)
     to 1.  Size ``L`` draws all ``max_restarts`` rows of ``L`` uniform
-    vertices in one call from its own seed ``derive_seed(seed, L)``, and the
-    first row that is distinct and stable in the union-graph bitmasks wins.
+    vertices in one call from its own seed ``derive_seed(seed, L)``; the rows
+    with distinct vertices are tested together in one gather on the cached
+    union-graph adjacency, and the first stable one wins.
     This is exactly the draw sequence and acceptance test of
     :func:`~niceset.goodness.randomized_construct` on the instance's goodness
     system.  ``L = 1`` always succeeds, so a set is always returned.
@@ -151,17 +144,18 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
     """
     if max_restarts < 1:
         raise ValueError("max_restarts must be at least 1")
-    m = inst.m
-    adj = _adjacency_masks(inst)
-    for target in range(_clique_cover_bound((1 << m) - 1, adj), 0, -1):
+    m, adjacency = inst.m, inst.adjacency
+    for target in range(_clique_cover_bound((1 << m) - 1, adjacency_masks(adjacency)), 0, -1):
         draws = generator(derive_seed(seed, target)).integers(0, m, size=(max_restarts, target))
         ordered = np.sort(draws, axis=1)
-        distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-        for row in draws[distinct].tolist():
-            mask = sum(1 << v for v in row)  # rows are distinct, so sum == union
-            if not any(adj[v] & mask for v in row):
-                vertices = _mask_to_vertices(mask)
-                _check_witness(vertices, inst)
-                return NiceSetResult(vertices=vertices, size=target,
-                                     method="randomized", seed=seed)
+        rows = draws[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        if not len(rows):
+            continue
+        # a distinct row is stable iff no pair of its vertices is adjacent
+        stable = ~adjacency[rows[:, :, None], rows[:, None, :]].any(axis=(1, 2))
+        if stable.any():
+            vertices = frozenset((rows[stable.argmax()] + 1).tolist())
+            _check_witness(vertices, inst)
+            return NiceSetResult(vertices=vertices, size=target,
+                                 method="randomized", seed=seed)
     raise AssertionError("unreachable: singleton draws always succeed")

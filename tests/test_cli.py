@@ -162,6 +162,17 @@ def test_select_underdetermined_exits_one(capsys, tmp_path):
     assert "need n > 30 observations, got 10" in err
 
 
+def test_select_equal_valued_column_exits_one(capsys, tmp_path):
+    # 1000 rows of 0.1: a constant column whose np.std is 1.4e-17, not 0
+    rng = np.random.default_rng(5)
+    rows = np.column_stack([rng.normal(size=1000), np.full(1000, 0.1), rng.normal(size=1000)])
+    csv_path = write_csv(tmp_path, "tenth.csv", ["a", "b", "c"], rows.tolist())
+    code, out, err = run_cli(capsys, ["select", "--input", csv_path, "--lambda-c", "0.9",
+                                      "--lambda-mc", "5", "--method", "greedy"])
+    assert code == 1 and out == ""
+    assert "feature 'b' (column 2) is constant" in err
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run_cli(capsys, ["frobnicate"])
     assert code == 1

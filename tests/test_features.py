@@ -376,6 +376,47 @@ def test_conflict_sets_reject_the_first_constant_column_by_name():
     assert str(info.value) == "feature 'c' is constant; cannot standardize"
 
 
+def tenth_column_matrix() -> FeatureMatrix:
+    # 1000 rows of 0.1 have an np.std of 1.4e-17, not 0: the column is
+    # constant by its values, not by its computed spread
+    rng = np.random.default_rng(5)
+    data = np.column_stack([rng.normal(size=1000), np.full(1000, 0.1), rng.normal(size=1000)])
+    assert np.std(data[:, 1]) > 0.0
+    return FeatureMatrix(names=("a", "b", "c"), data=data)
+
+
+def test_equal_valued_column_with_nonzero_std_is_constant():
+    fm = tenth_column_matrix()
+    with pytest.raises(ValueError) as info:
+        pearson_matrix(fm)
+    assert str(info.value) == "feature 'b' (column 2) is constant"
+    with pytest.raises(ValueError) as info:
+        conflict_sets(fm, lambda_mc=5.0)
+    assert str(info.value) == "feature 'b' is constant; cannot standardize"
+    for j, regressors in ((2, [1, 3]), (1, [2, 3])):
+        with pytest.raises(ValueError) as info:
+            vif(fm, j, regressors)
+        assert str(info.value) == "feature 'b' is constant; cannot standardize"
+    with pytest.raises(ValueError, match="is constant"):
+        select_features(fm, 0.9, 5.0, method="greedy")
+
+
+def test_column_whose_variance_underflows_is_constant():
+    # the values differ, but their spread squares to 0: a zero divisor
+    rng = np.random.default_rng(6)
+    spread = np.zeros(50)
+    spread[0] = 1e-200
+    data = np.column_stack([rng.normal(size=50), spread, rng.normal(size=50)])
+    assert np.std(data[:, 1]) == 0.0 and data[:, 1].max() != data[:, 1].min()
+    fm = FeatureMatrix(names=("a", "b", "c"), data=data)
+    with pytest.raises(ValueError, match="'b' \\(column 2\\) is constant"):
+        pearson_matrix(fm)
+    with pytest.raises(ValueError, match="'b' is constant; cannot standardize"):
+        conflict_sets(fm, lambda_mc=5.0)
+    with pytest.raises(ValueError, match="'b' is constant; cannot standardize"):
+        vif(fm, 2, [1, 3])
+
+
 def test_conflict_sets_orthogonal_all_empty():
     fm = FeatureMatrix(names=("a", "b", "c"), data=ORTHOGONAL)
     assert all(not ts for ts in conflict_sets(fm, lambda_mc=5.0).values())

@@ -1,5 +1,6 @@
 """Instance sampling, niceness, the union graph, and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -147,6 +148,126 @@ def test_nice_iff_stable_in_union_graph(m, p, k, seed):
         stable = all((min(u, v), max(u, v)) not in relation
                      for u in s for v in s if u < v)
         assert is_nice(s, inst) == stable
+
+
+def reference_adjacency(inst: Instance) -> np.ndarray:
+    """Union-graph adjacency rebuilt straight from the raw edge and conflict
+    fields, as conftest.enumerate_max_nice does."""
+    adjacency = np.zeros((inst.m, inst.m), dtype=bool)
+    for u, v in inst.edges:
+        adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = True
+    for v, ts in inst.conflicts.items():
+        for u in ts:
+            adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = True
+    return adjacency
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3, 60, 61, 200) for k in (0, 1, 2)
+                                  if k <= m - 1])
+def test_sampled_adjacency_matches_a_rebuild_from_the_fields(m, k):
+    spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+    for seed in range(5):
+        inst = sample_instance(m, 0.1, spec, seed=seed)
+        assert "adjacency" in vars(inst)  # filled by the constructor
+        assert np.array_equal(inst.adjacency, reference_adjacency(inst))
+        assert np.array_equal(Instance.from_dict(inst.to_dict()).adjacency, inst.adjacency)
+
+
+@pytest.mark.parametrize("inst", [
+    Instance(1),
+    Instance(4),
+    Instance(4, edges=[(2, 1), (1, 2), (3, 4)]),
+    Instance(5, conflicts={3: {4}, 1: [5, 2]}),
+    Instance(2, edges=[(1, 2)], conflicts={2: {1}}),
+    Instance(70, edges=[(1, 70), (64, 65)], conflicts={66: [3]}),
+    Instance.from_dict({"m": 6, "edges": [[1, 6], [2, 3]], "conflicts": {"4": [5], "6": [1]}}),
+    Instance.from_json(sample_instance(40, 0.2, ConflictSpec.uniform(2), seed=9).to_json()),
+])
+def test_lazy_adjacency_matches_a_rebuild_from_the_fields(inst):
+    assert "adjacency" not in vars(inst)  # filled on first use
+    adjacency = inst.adjacency
+    assert adjacency.dtype == bool and adjacency.shape == (inst.m, inst.m)
+    assert np.array_equal(adjacency, reference_adjacency(inst))
+    assert inst.adjacency is adjacency
+    with pytest.raises(ValueError):
+        adjacency[0, 0] = True  # read-only: every reader shares it
+
+
+def test_adjacency_is_neither_serialized_nor_compared():
+    built = sample_instance(30, 0.2, ConflictSpec.uniform(2), seed=4)
+    loaded = Instance.from_dict(built.to_dict())
+    assert "adjacency" in vars(built) and "adjacency" not in vars(loaded)
+    assert [f.name for f in dataclasses.fields(Instance)] == ["m", "edges", "conflicts"]
+    assert built == loaded and "adjacency" not in repr(built)
+    assert built.to_json() == loaded.to_json()
+    assert set(built.to_dict()) == {"m", "edges", "conflicts"}
+    loaded.adjacency
+    assert built == loaded and built.to_json() == loaded.to_json()
+
+
+def pair_rows(pairs) -> np.ndarray:
+    return np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def conflict_rows(conflicts) -> np.ndarray:
+    return pair_rows((v, u) for v, ts in conflicts.items() for u in ts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), m=st.integers(2, 12))
+def test_array_input_builds_the_same_instance(data, m):
+    # duplicates and reversed pairs included: both forms canonicalize them
+    pair = st.tuples(st.integers(1, m), st.integers(1, m)).filter(lambda t: t[0] != t[1])
+    edges = data.draw(st.lists(pair, max_size=30))
+    rows = data.draw(st.lists(pair, max_size=30))
+    conflicts: dict[int, list[int]] = {}
+    for v, u in rows:
+        conflicts.setdefault(v, []).append(u)
+    listed = Instance(m, edges=edges, conflicts=conflicts)
+    for dtype in (np.int64, np.int32, np.uint16):
+        arrayed = Instance(m, edges=pair_rows(edges).astype(dtype),
+                           conflicts=pair_rows(rows).astype(dtype))
+        assert "adjacency" in vars(arrayed)
+        assert arrayed == listed and arrayed.to_json() == listed.to_json()
+        assert np.array_equal(arrayed.adjacency, reference_adjacency(listed))
+
+
+@pytest.mark.parametrize("m, edges, conflicts, message", [
+    (4, [(1, 2), (5, 1), (3, 3)], {}, "vertex 5 out of range 1..4"),
+    (4, [(1, 2), (3, 3), (5, 1)], {}, "self-loop at vertex 3"),
+    (4, [(2, 0)], {}, "vertex 0 out of range 1..4"),
+    (4, [(-1, 2)], {}, "vertex -1 out of range 1..4"),
+    (4, [], {2: [5]}, "vertex 5 out of range 1..4"),
+    (4, [], {0: [1]}, "vertex 0 out of range 1..4"),
+    (4, [], {3: [3]}, "vertex 3 conflicts with itself"),
+    (4, [(1, 2)], {1: [2], 4: [4], 9: [1]}, "vertex 4 conflicts with itself"),
+    (4, [(1, 2)], {1: [2], 9: [1], 4: [4]}, "vertex 9 out of range 1..4"),
+    (4, [(4, 4)], {9: [1]}, "self-loop at vertex 4"),  # edges are checked first
+])
+def test_array_input_raises_the_list_input_error(m, edges, conflicts, message):
+    with pytest.raises(ValueError) as listed:
+        Instance(m, edges=edges, conflicts=conflicts)
+    for dtype in (np.int64, np.int32):
+        with pytest.raises(ValueError) as arrayed:
+            Instance(m, edges=pair_rows(edges).astype(dtype),
+                     conflicts=conflict_rows(conflicts).astype(dtype))
+        assert str(arrayed.value) == str(listed.value) == message
+
+
+def test_is_nice_reports_the_smallest_out_of_range_member():
+    inst = Instance(5, edges=[(1, 2)])
+    with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.5$"):
+        is_nice({7, 0, 1, 2}, inst)
+    with pytest.raises(ValueError, match=r"^vertex 6 out of range 1\.\.5$"):
+        is_nice([6, 1, 2], inst)  # raised although {1, 2} spans an edge
+
+
+def test_is_nice_takes_numpy_integers_past_64():
+    inst = Instance(100, edges=[(70, 90), (1, 2)], conflicts={65: [99]})
+    for s, nice in (([70, 90], False), ([65, 99], False), ([1, 2], False), ([70, 99, 3], True)):
+        assert is_nice(np.array(s), inst) == is_nice(s, inst) == nice
+    with pytest.raises(TypeError):
+        is_nice([1.5], inst)
 
 
 def test_json_round_trip_and_schema():

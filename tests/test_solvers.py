@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +134,52 @@ def test_randomized_matches_reference_scan(m, p, k, max_restarts, seed):
     inst = sample_instance(m, p, spec, seed=derive_seed(seed, 0))
     assert randomized_nice(inst, max_restarts, seed) == \
         reference_randomized_scan(inst, max_restarts, seed)
+
+
+def reference_row_scan(inst, max_restarts, seed):
+    """The per-row test on Python bitmasks that preceded the batched numpy
+    test, with the masks rebuilt from the raw edge and conflict fields."""
+    m = inst.m
+    adj = [0] * m
+    for v, ts in inst.conflicts.items():
+        for u in ts:
+            adj[v - 1] |= 1 << (u - 1)
+    for u, v in inst.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    for target in range(solvers._clique_cover_bound((1 << m) - 1, adj), 0, -1):
+        draws = niceset.rng.generator(derive_seed(seed, target)).integers(
+            0, m, size=(max_restarts, target))
+        ordered = np.sort(draws, axis=1)
+        distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        for row in draws[distinct].tolist():
+            mask = sum(1 << v for v in row)  # rows are distinct, so sum == union
+            if not any(adj[v] & mask for v in row):
+                vertices = frozenset(v + 1 for v in row)
+                return NiceSetResult(vertices=vertices, size=target, method="randomized",
+                                     seed=seed)
+    raise AssertionError("singleton draws always succeed")
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 130),
+       p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       k=st.sampled_from([0, 1, 2]), max_restarts=st.sampled_from([1, 7, 100]),
+       seed=st.integers(0, 2**32))
+def test_randomized_matches_the_per_row_scan(m, p, k, max_restarts, seed):
+    spec = ConflictSpec.uniform(min(k, m - 1)) if k and m > 1 else ConflictSpec.none()
+    inst = sample_instance(m, p, spec, seed=derive_seed(seed, 1))
+    assert randomized_nice(inst, max_restarts, seed) == \
+        reference_row_scan(inst, max_restarts, seed)
+
+
+def test_randomized_scan_past_64_vertices():
+    # vertices above 64 are reachable and tested against their neighbours
+    inst = Instance(100, edges=[(u, v) for u in range(1, 101) for v in range(u + 1, 101)
+                                if u <= 64 or v != u + 1])
+    result = randomized_nice(inst, max_restarts=100, seed=2)
+    assert result == reference_row_scan(inst, 100, 2)
+    assert result.size == 2 and min(result.vertices) > 64
 
 
 def test_randomized_skips_sizes_above_the_clique_cover_bound(monkeypatch):
