@@ -26,8 +26,7 @@ from .harness import (BoundReport, ChernoffReport, ExperimentConfig, LemmaReport
                       binomial_deviation_tail, existence_violations,
                       run_chernoff_check, run_lemma_verification,
                       run_lower_bound_experiment, run_upper_bound_experiment)
-from .instance import (ConflictSpec, Instance, NiceSetResult, is_nice,
-                       sample_instance, union_conflict_graph)
+from .instance import ConflictSpec, Instance, NiceSetResult, is_nice, sample_instance
 from .rng import derive_seed
 from .solvers import greedy_nice, max_nice_exact, randomized_nice
 
@@ -49,6 +48,5 @@ __all__ = [
     "randomized_nice", "run_chernoff_check", "run_lemma_verification",
     "run_lower_bound_experiment", "run_upper_bound_experiment",
     "sample_instance", "select_features", "size_lower_bound",
-    "size_upper_bound", "system_from_singletons", "union_conflict_graph",
-    "upper_size_threshold", "vif",
+    "size_upper_bound", "system_from_singletons", "upper_size_threshold", "vif",
 ]

@@ -136,8 +136,11 @@ def instance_system(inst: Instance) -> GoodnessSystem:
     def g(x, chosen: frozenset):
         return 1 if any(x in closed[v] for v in chosen) else 0
 
-    singleton_good = {v: frozenset(u for u in vertices if not inst.has_edge(u, v) or u == v)
-                      for v in vertices}
+    ends = np.array(list(inst.edges), dtype=np.intp).reshape(-1, 2) - 1
+    apart = np.ones((inst.m, inst.m), dtype=bool)  # true iff no edge joins the two vertices
+    apart[ends[:, 0], ends[:, 1]] = apart[ends[:, 1], ends[:, 0]] = False
+    singleton_good = {v: frozenset((np.flatnonzero(row) + 1).tolist())
+                      for v, row in zip(vertices, apart)}
     return system_from_singletons(vertices, singleton_good, g, values={0, 1}, accepting={0})
 
 

@@ -7,7 +7,8 @@ iff ``v in T(u)``, and never ``v in T(v)``.
 
 A vertex set is *nice* when it contains no edge and no pair ``u, v`` with
 ``u in T(v)``.  Nice sets are exactly the stable (independent) sets of the
-union graph returned by :func:`union_conflict_graph`.
+union graph of edges and conflict pairs, which each instance keeps as its
+boolean :attr:`Instance.adjacency`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -64,17 +64,20 @@ class Instance:
     Edges are stored as ``(u, v)`` pairs with ``u < v``; any iterable of pairs
     is accepted and canonicalized.  The conflict family is symmetrized by
     union at construction, so a partially specified family such as
-    ``{3: {4}}`` becomes ``T(3) = {4}, T(4) = {3}``.  Self-conflicts and
-    out-of-range vertices are rejected.
+    ``{3: {4}}`` becomes ``T(3) = {4}, T(4) = {3}``.  Self-conflicts,
+    out-of-range vertices and non-integer vertices are rejected.
 
-    ``edges`` may also be an integer array of ``(u, v)`` rows and, with it,
-    ``conflicts`` an integer array of ``(v, u)`` rows meaning ``u in T(v)``
-    (as :func:`sample_instance` passes them).  Such arrays are validated in
-    numpy; only a rejected one is walked row by row, to raise the error the
-    equivalent pair list or mapping raises first.
+    ``conflicts`` is a mapping ``v -> T(v)`` or an array of ``(v, u)`` rows
+    meaning ``u in T(v)``.  Every input becomes an integer ``(k, 2)`` row
+    array before anything is built.  An integer array of rows (as
+    :func:`sample_instance` passes them) is validated in numpy; any other
+    input, or a rejected array, is walked pair by pair, edges before
+    conflicts, and the first bad vertex or pair raises.
 
-    The union-graph :attr:`adjacency` is kept with the instance but is not a
-    field: it is neither serialized nor compared.
+    ``adjacency`` is the read-only ``m x m`` boolean union-graph adjacency:
+    entry ``[u-1, v-1]`` is true iff ``(u, v)`` is an edge or ``u in T(v)``.
+    The constructor builds it once.  It is not a field: it is neither
+    serialized nor compared.
     """
 
     m: int
@@ -82,32 +85,24 @@ class Instance:
     conflicts: Mapping[int, frozenset[int]]
 
     def __init__(self, m: int, edges: Iterable[Iterable[int]] = (),
-                 conflicts: Mapping[int, Iterable[int]] | None = None):
+                 conflicts: Mapping[int, Iterable[int]] | np.ndarray | None = None):
         if m < 1:
             raise ValueError("m must be at least 1")
-        if _is_pair_array(edges) and _is_pair_array(conflicts):
-            self._init_from_arrays(int(m), edges, conflicts)
-            return
-        canon = _canonical_edges(edges, m)
-        family = _conflict_family((conflicts or {}).items(), m)
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "edges", frozenset(canon))
-        object.__setattr__(self, "conflicts", family)
-
-    def _init_from_arrays(self, m: int, edges: np.ndarray, conflicts: np.ndarray) -> None:
-        if _rejects(edges, m):
-            _canonical_edges(edges.tolist(), m)  # raises the first pair's error
-        if _rejects(conflicts, m):
-            _conflict_family(((v, (u,)) for v, u in conflicts.tolist()), m)
+        m = int(m)
+        edge_rows = _rows(edges, ((u, (v,)) for u, v in edges), m, "self-loop at vertex {}")
+        conflicts = {} if conflicts is None else conflicts
+        items = (((v, (u,)) for v, u in conflicts) if isinstance(conflicts, np.ndarray)
+                 else conflicts.items())
+        conflict_rows = _rows(conflicts, items, m, "vertex {} conflicts with itself")
         adjacency = np.zeros((m, m), dtype=bool)
-        adjacency[conflicts[:, 0] - 1, conflicts[:, 1] - 1] = True
+        adjacency[conflict_rows[:, 0] - 1, conflict_rows[:, 1] - 1] = True
         adjacency = adjacency | adjacency.T  # the family symmetrized by union
-        rows, cols = np.nonzero(adjacency)
+        rows, cols = np.divmod(np.flatnonzero(adjacency), m)  # np.nonzero, only faster
         partners = (cols + 1).tolist()
         ends = np.cumsum(np.bincount(rows, minlength=m)).tolist()
         family = {v: frozenset(partners[start:end])
                   for v, start, end in zip(range(1, m + 1), [0] + ends, ends)}
-        lo, hi = np.sort(edges, axis=1).T
+        lo, hi = np.sort(edge_rows, axis=1).T
         adjacency[lo - 1, hi - 1] = True
         adjacency[hi - 1, lo - 1] = True
         adjacency.flags.writeable = False
@@ -115,31 +110,6 @@ class Instance:
         object.__setattr__(self, "edges", frozenset(zip(lo.tolist(), hi.tolist())))
         object.__setattr__(self, "conflicts", family)
         object.__setattr__(self, "adjacency", adjacency)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only ``m x m`` boolean union-graph adjacency: entry
-        ``[u-1, v-1]`` is true iff ``(u, v)`` is an edge or ``u in T(v)``.
-        Built once, on first use unless the constructor received arrays."""
-        pairs = list(self.edges)
-        pairs.extend((v, u) for v, ts in self.conflicts.items() for u in ts)
-        index = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
-        adjacency = np.zeros((self.m, self.m), dtype=bool)
-        adjacency[index[:, 0], index[:, 1]] = True
-        adjacency[index[:, 1], index[:, 0]] = True
-        adjacency.flags.writeable = False
-        return adjacency
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def edge_neighbors(self, v: int) -> frozenset[int]:
-        _check_vertex(v, self.m)
-        return frozenset(u for u in range(1, self.m + 1) if u != v and self.has_edge(u, v))
-
-    def union_neighbors(self, v: int) -> frozenset[int]:
-        """Neighbors of ``v`` in the union graph (edges plus conflicts)."""
-        return self.edge_neighbors(v) | self.conflicts[v]
 
     def to_dict(self) -> dict:
         return {
@@ -179,44 +149,36 @@ class Instance:
         return cls.from_dict(json.loads(text))
 
 
-def _check_vertex(v: int, m: int) -> None:
+def _vertex(v, m: int) -> int:
+    """``v`` as an ``int`` in ``1..m``; a non-integer raises :class:`TypeError`."""
+    v = operator.index(v)
     if not 1 <= v <= m:
         raise ValueError(f"vertex {v} out of range 1..{m}")
+    return v
 
 
-def _canonical_edges(pairs: Iterable[Iterable[int]], m: int) -> set[Edge]:
-    canon = set()
-    for pair in pairs:
-        u, v = pair
-        _check_vertex(u, m)
-        _check_vertex(v, m)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        canon.add((min(u, v), max(u, v)))
-    return canon
+def _rows(pairs, items: Iterable[tuple[object, Iterable]], m: int, self_pair: str) -> np.ndarray:
+    """``pairs`` as an integer ``(k, 2)`` array of valid rows.
 
-
-def _conflict_family(items: Iterable[tuple[int, Iterable[int]]], m: int) -> dict[int, frozenset[int]]:
-    family: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
+    An integer array of rows with every vertex in ``1..m`` and no row
+    repeating its vertex is returned as it is.  Otherwise the rows are read
+    from ``items``, ``(v, partners)`` with one row ``(v, u)`` per partner
+    ``u``, in order: the first bad vertex raises, and the first row that
+    repeats its vertex raises ``self_pair`` formatted with that vertex.
+    """
+    if (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" and pairs.ndim == 2
+            and pairs.shape[1] == 2 and not ((pairs < 1) | (pairs > m)).any()
+            and not (pairs[:, 0] == pairs[:, 1]).any()):
+        return pairs
+    flat = []
     for v, partners in items:
-        _check_vertex(v, m)
+        v = _vertex(v, m)
         for u in partners:
-            _check_vertex(u, m)
+            u = _vertex(u, m)
             if u == v:
-                raise ValueError(f"vertex {v} conflicts with itself")
-            family[v].add(u)
-            family[u].add(v)
-    return {v: frozenset(family[v]) for v in range(1, m + 1)}
-
-
-def _is_pair_array(pairs) -> bool:
-    return (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"
-            and pairs.ndim == 2 and pairs.shape[1] == 2)
-
-
-def _rejects(pairs: np.ndarray, m: int) -> bool:
-    """True iff a row has an out-of-range vertex or repeats its vertex."""
-    return bool(((pairs < 1) | (pairs > m)).any() or (pairs[:, 0] == pairs[:, 1]).any())
+                raise ValueError(self_pair.format(v))
+            flat += (v, u)
+    return np.array(flat, dtype=np.intp).reshape(-1, 2)
 
 
 def adjacency_masks(rows: np.ndarray) -> list[int]:
@@ -283,16 +245,8 @@ def is_nice(s: Iterable[int], inst: Instance) -> bool:
     members = sorted({operator.index(v) for v in s})
     mask = 0
     for v in members:
-        _check_vertex(v, inst.m)
+        _vertex(v, inst.m)
         mask |= 1 << (v - 1)
     rows = inst.adjacency[np.array(members, dtype=np.intp) - 1]
     return not any(row & mask for row in adjacency_masks(rows))
 
-
-def union_conflict_graph(inst: Instance) -> frozenset[Edge]:
-    """Edges unioned with conflict pairs: ``u ~ v`` iff edge or ``u in T(v)``.
-
-    A set is nice in ``inst`` exactly when it is stable in this relation.
-    """
-    rows, cols = np.nonzero(np.triu(inst.adjacency, k=1))
-    return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))

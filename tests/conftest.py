@@ -31,7 +31,7 @@ def enumerate_max_nice(inst: Instance) -> int:
     """Oracle: maximum nice-set size by checking all 2**m subsets.
 
     Rebuilds adjacency straight from the instance's raw edge and conflict
-    fields, independently of the solvers and of union_conflict_graph.
+    fields, independently of the solvers and of ``Instance.adjacency``.
     """
     m = inst.m
     adj = [0] * (m + 1)
@@ -55,6 +55,27 @@ def enumerate_max_nice(inst: Instance) -> int:
         if ok:
             best = max(best, shifted.bit_count())
     return best
+
+
+def reference_adjacency(inst: Instance) -> np.ndarray:
+    """Oracle: union-graph adjacency rebuilt straight from the raw edge and
+    conflict fields, as :func:`enumerate_max_nice` does."""
+    adjacency = np.zeros((inst.m, inst.m), dtype=bool)
+    for u, v in inst.edges:
+        adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = True
+    for v, ts in inst.conflicts.items():
+        for u in ts:
+            adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = True
+    return adjacency
+
+
+def edge_adjacency(inst: Instance) -> dict[int, set[int]]:
+    """Neighbour sets of the collinearity edges alone, read from ``inst.edges``."""
+    adjacency = {v: set() for v in range(1, inst.m + 1)}
+    for u, v in inst.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
 
 
 def mutually_good_by_definition(system, s) -> bool:

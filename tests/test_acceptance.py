@@ -24,7 +24,7 @@ from niceset import (BoundParams, ConflictSpec, ExperimentConfig, chernoff_bound
                      size_upper_bound)
 from niceset.cli import main as cli_main
 
-from .conftest import (PATH_ADJACENCY, enumerate_max_nice,
+from .conftest import (PATH_ADJACENCY, edge_adjacency, enumerate_max_nice,
                        mutually_good_by_definition, planted_block_matrix)
 
 
@@ -149,8 +149,7 @@ def test_criterion_6_goodness_axioms_and_pairwise_equivalence():
     for idx in range(50):
         n = 3 + idx % 4                       # 3..6
         inst = sample_instance(n, [0.2, 0.5, 0.8][idx % 3], seed=derive_seed(2002, idx))
-        adjacency = {v: set(inst.edge_neighbors(v)) for v in range(1, n + 1)}
-        system = graph_system(adjacency)
+        system = graph_system(edge_adjacency(inst))
         if not check_goodness_axioms(system, mode="exhaustive").ok:
             axiom_violations += 1
         for size in range(min(5, n) + 1):

@@ -16,7 +16,7 @@ from niceset import (BudgetError, ConflictSpec, FractionTable, GoodnessSystem,
 
 from niceset.rng import generator
 
-from .conftest import edgeless_system, mutually_good_by_definition
+from .conftest import edge_adjacency, edgeless_system, mutually_good_by_definition
 
 
 def random_instance_system(seed, n_max=8):
@@ -279,8 +279,7 @@ def test_brute_force_examples(path_system, k4_system):
 def test_axiom_check_clean_on_graph_systems():
     for seed in range(6):
         inst = sample_instance(2 + seed % 5, 0.5, seed=seed)
-        adjacency = {v: set(inst.edge_neighbors(v)) for v in range(1, inst.m + 1)}
-        assert check_goodness_axioms(graph_system(adjacency)).ok
+        assert check_goodness_axioms(graph_system(edge_adjacency(inst))).ok
 
 
 def test_axiom_check_flags_identity_map():
@@ -340,6 +339,40 @@ def test_instance_system_matches_niceness_exhaustively():
             s = frozenset(v for v in range(1, inst.m + 1) if mask >> (v - 1) & 1)
             nice = is_nice(s, inst)
             assert (is_mutually_good(system, s) and is_constrained(system, s)) == nice
+
+
+def reference_instance_system(inst):
+    """The instance system with its singleton good sets built from one edge
+    lookup per vertex pair, as ``instance_system`` once built them."""
+    vertices = tuple(range(1, inst.m + 1))
+    closed = {v: inst.conflicts[v] | {v} for v in vertices}
+
+    def has_edge(u, v):
+        return (min(u, v), max(u, v)) in inst.edges
+
+    def g(x, chosen: frozenset):
+        return 1 if any(x in closed[v] for v in chosen) else 0
+
+    singleton_good = {v: frozenset(u for u in vertices if not has_edge(u, v) or u == v)
+                      for v in vertices}
+    return system_from_singletons(vertices, singleton_good, g, values={0, 1}, accepting={0})
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_instance_system_matches_the_pairwise_edge_builder(p):
+    for n in range(1, 11):
+        for k in range(min(2, n - 1) + 1):
+            spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+            for seed in range(3):
+                inst = sample_instance(n, p, spec, seed=derive_seed(606, 100 * n + 10 * k + seed))
+                system, reference = instance_system(inst), reference_instance_system(inst)
+                assert system.universe == reference.universe
+                assert (system.values, system.accepting) == (reference.values, reference.accepting)
+                for v in system.universe:
+                    single = frozenset([v])
+                    assert system.f(single) == reference.f(single)
+                    for x in system.universe:
+                        assert system.g(x, single) == reference.g(x, single)
 
 
 def test_system_from_singletons_requires_empty_to_map_to_universe():

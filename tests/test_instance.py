@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from niceset import (ConflictSpec, Instance, NiceSetResult, derive_seed, is_nice,
-                     sample_instance, union_conflict_graph)
+                     sample_instance)
 from niceset.rng import generator
+
+from .conftest import reference_adjacency
 
 
 def test_conflict_spec_validation():
@@ -127,12 +129,17 @@ def test_is_nice_examples():
 
 
 def test_union_conflict_graph_examples():
-    assert union_conflict_graph(Instance(4, edges=[(1, 2)], conflicts={3: {4}})) == \
-        frozenset({(1, 2), (3, 4)})
-    assert union_conflict_graph(Instance(4)) == frozenset()
-    # edge and conflict on the same pair collapse to one relation entry
-    assert union_conflict_graph(Instance(2, edges=[(1, 2)], conflicts={2: {1}})) == \
-        frozenset({(1, 2)})
+    for inst, pairs in [
+        (Instance(4, edges=[(1, 2)], conflicts={3: {4}}), [(1, 2), (3, 4)]),
+        (Instance(4), []),
+        # edge and conflict on the same pair collapse to one relation entry
+        (Instance(2, edges=[(1, 2)], conflicts={2: {1}}), [(1, 2)]),
+    ]:
+        expected = np.zeros((inst.m, inst.m), dtype=bool)
+        for u, v in pairs:
+            expected[u - 1, v - 1] = expected[v - 1, u - 1] = True
+        assert np.array_equal(reference_adjacency(inst), expected)
+        assert np.array_equal(inst.adjacency, expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,24 +149,11 @@ def test_nice_iff_stable_in_union_graph(m, p, k, seed):
     k = min(k, m - 1)
     spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
     inst = sample_instance(m, p, spec, seed=seed)
-    relation = union_conflict_graph(inst)
+    adjacency = reference_adjacency(inst)
     for mask in range(1 << m):
         s = {v for v in range(1, m + 1) if mask >> (v - 1) & 1}
-        stable = all((min(u, v), max(u, v)) not in relation
-                     for u in s for v in s if u < v)
+        stable = not any(adjacency[u - 1, v - 1] for u in s for v in s)
         assert is_nice(s, inst) == stable
-
-
-def reference_adjacency(inst: Instance) -> np.ndarray:
-    """Union-graph adjacency rebuilt straight from the raw edge and conflict
-    fields, as conftest.enumerate_max_nice does."""
-    adjacency = np.zeros((inst.m, inst.m), dtype=bool)
-    for u, v in inst.edges:
-        adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = True
-    for v, ts in inst.conflicts.items():
-        for u in ts:
-            adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = True
-    return adjacency
 
 
 @pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3, 60, 61, 200) for k in (0, 1, 2)
@@ -182,9 +176,13 @@ def test_sampled_adjacency_matches_a_rebuild_from_the_fields(m, k):
     Instance(70, edges=[(1, 70), (64, 65)], conflicts={66: [3]}),
     Instance.from_dict({"m": 6, "edges": [[1, 6], [2, 3]], "conflicts": {"4": [5], "6": [1]}}),
     Instance.from_json(sample_instance(40, 0.2, ConflictSpec.uniform(2), seed=9).to_json()),
+    Instance(5, edges=np.array([[2, 1], [4, 5]]), conflicts=np.array([[3, 4], [1, 3]])),
+    Instance(5, edges=[(2, 1)], conflicts=np.array([[3, 4]], dtype=np.uint8)),
+    sample_instance(30, 0.2, ConflictSpec.uniform(1), seed=4),
 ])
 def test_lazy_adjacency_matches_a_rebuild_from_the_fields(inst):
-    assert "adjacency" not in vars(inst)  # filled on first use
+    """Every constructor input fills the adjacency at construction."""
+    assert "adjacency" in vars(inst)
     adjacency = inst.adjacency
     assert adjacency.dtype == bool and adjacency.shape == (inst.m, inst.m)
     assert np.array_equal(adjacency, reference_adjacency(inst))
@@ -196,13 +194,11 @@ def test_lazy_adjacency_matches_a_rebuild_from_the_fields(inst):
 def test_adjacency_is_neither_serialized_nor_compared():
     built = sample_instance(30, 0.2, ConflictSpec.uniform(2), seed=4)
     loaded = Instance.from_dict(built.to_dict())
-    assert "adjacency" in vars(built) and "adjacency" not in vars(loaded)
+    assert "adjacency" in vars(built) and "adjacency" in vars(loaded)
     assert [f.name for f in dataclasses.fields(Instance)] == ["m", "edges", "conflicts"]
     assert built == loaded and "adjacency" not in repr(built)
     assert built.to_json() == loaded.to_json()
     assert set(built.to_dict()) == {"m", "edges", "conflicts"}
-    loaded.adjacency
-    assert built == loaded and built.to_json() == loaded.to_json()
 
 
 def pair_rows(pairs) -> np.ndarray:
@@ -254,6 +250,30 @@ def test_array_input_raises_the_list_input_error(m, edges, conflicts, message):
         assert str(arrayed.value) == str(listed.value) == message
 
 
+@pytest.mark.parametrize("edges, conflicts", [
+    ([(1.5, 2)], None),
+    ([(1, 2), (2.0, 3)], None),  # an integral float is rejected too
+    (np.array([[1.5, 2.0]]), None),
+    ([], {1.5: [2]}),
+    ([], {1: [2.0]}),
+    ([], np.array([[1.0, 2.0]])),
+])
+def test_constructor_rejects_non_integer_vertices(edges, conflicts):
+    with pytest.raises(TypeError):
+        Instance(3, edges=edges, conflicts=conflicts)
+
+
+def test_numpy_integer_input_serializes_like_python_ints():
+    for given_numpy, given_python in [
+        (Instance(4, edges=np.array([[1, 2]])), Instance(4, edges=[(1, 2)])),
+        (Instance(4, conflicts={np.int64(1): np.array([2])}), Instance(4, conflicts={1: [2]})),
+        (Instance(4, edges=[(np.int32(3), np.uint8(2))], conflicts={np.int16(4): [np.int64(1)]}),
+         Instance(4, edges=[(2, 3)], conflicts={4: [1]})),
+    ]:
+        assert given_numpy == given_python
+        assert given_numpy.to_json() == given_python.to_json()
+
+
 def test_is_nice_reports_the_smallest_out_of_range_member():
     inst = Instance(5, edges=[(1, 2)])
     with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.5$"):
@@ -294,6 +314,10 @@ def test_json_round_trip_and_schema():
     [3, [[1, 2]]],                                 # top level not an object
     "instance",
     None,
+    {"m": 3, "edges": [[1.5, 2]]},                 # non-integer vertices
+    {"m": 3, "edges": [[2.0, 3]]},
+    {"m": 3, "conflicts": {"1": [2.5]}},
+    {"m": 3, "conflicts": {"1": [3.0]}},
 ])
 def test_from_dict_rejects_malformed_payloads(payload):
     with pytest.raises(ValueError):
