@@ -19,7 +19,7 @@ from .errors import BudgetError
 from .features import load_csv, select_features
 from .harness import (ExperimentConfig, run_chernoff_check, run_lemma_verification,
                       run_lower_bound_experiment, run_upper_bound_experiment)
-from .instance import ConflictSpec
+from .instance import METHODS, ConflictSpec
 
 SCHEMA_VERSION = 1
 
@@ -56,23 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  "bound checks, and feature selection.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    up = sub.add_parser("simulate-upper", help="Monte Carlo check of the size upper bound")
-    up.add_argument("--m", type=int, required=True)
-    up.add_argument("--p", type=float, required=True)
-    up.add_argument("--gamma", type=float, default=1.0)
-    up.add_argument("--delta", type=float, default=0.25)
-    up.add_argument("--solver", choices=["exact", "greedy", "randomized"], default="exact")
-    _conflict_flags(up)
-    _common_flags(up, trials_default=100)
-
-    lo = sub.add_parser("simulate-lower", help="Monte Carlo check of the size lower bound")
-    lo.add_argument("--m", type=int, required=True)
-    lo.add_argument("--p", type=float, required=True)
-    lo.add_argument("--gamma", type=float, default=1.0)
-    lo.add_argument("--delta", type=float, default=0.25)
-    lo.add_argument("--solver", choices=["exact", "greedy", "randomized"], default="exact")
-    _conflict_flags(lo)
-    _common_flags(lo, trials_default=100)
+    for which in ("upper", "lower"):
+        sim = sub.add_parser(f"simulate-{which}",
+                             help=f"Monte Carlo check of the size {which} bound")
+        sim.add_argument("--m", type=int, required=True)
+        sim.add_argument("--p", type=float, required=True)
+        sim.add_argument("--gamma", type=float, default=1.0)
+        sim.add_argument("--delta", type=float, default=0.25)
+        sim.add_argument("--solver", choices=METHODS, default="exact")
+        _conflict_flags(sim)
+        _common_flags(sim, trials_default=100)
 
     lem = sub.add_parser("verify-lemma",
                          help="existence sweep for mutually good constrained sets")
@@ -102,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="VIF threshold, > 1")
     se.add_argument("--k-top", type=int, default=3,
                     help="conflict partners per flagged feature (default 3)")
-    se.add_argument("--method", choices=["exact", "greedy", "randomized"], default="exact")
+    se.add_argument("--method", choices=METHODS, default="exact")
     se.add_argument("--delimiter", default=",")
     se.add_argument("--no-header", action="store_true",
                     help="the CSV has no header row; names become f1..fm")

@@ -22,14 +22,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetError, CsvError
+from .errors import CsvError
 from .instance import Edge, Instance, is_nice
 from .solvers import greedy_nice, max_nice_exact, randomized_nice
 
 VIF_MAX = 1e12
 _RIDGE = 1e-10
 _COEF_FLOOR = 1e-8  # below this a coefficient is numerical zero (ridge scale)
-_EXACT_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -339,16 +338,13 @@ def select_features(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,
                     seed: int | None = None) -> SelectionReport:
     """Build the instance from the data and extract a nice feature subset.
 
-    ``method`` is one of ``exact`` (branch and bound; limited to 60
-    features), ``greedy``, or ``randomized``.  The result is re-verified
-    with the niceness predicate before reporting.
+    ``method`` is one of ``exact`` (branch and bound with the default node
+    budget; raises :class:`BudgetError` when the budget runs out),
+    ``greedy``, or ``randomized``.  The result is re-verified with the
+    niceness predicate before reporting.
     """
     inst = build_instance(fm, lambda_c, lambda_mc, k_top)
     if method == "exact":
-        if fm.m > _EXACT_LIMIT:
-            raise BudgetError(
-                f"exact selection supports at most {_EXACT_LIMIT} features "
-                f"(got {fm.m}); use method='greedy' or method='randomized'")
         result = max_nice_exact(inst)
     elif method == "greedy":
         result = greedy_nice(inst)

@@ -16,11 +16,9 @@ from .bounds import (BoundParams, chernoff_bound, lower_size_threshold,
 from .errors import BudgetError
 from .goodness import (GoodnessSystem, brute_force_mutually_good, fraction_table,
                        instance_system)
-from .instance import ConflictSpec, Instance, sample_instance
+from .instance import METHODS, ConflictSpec, Instance, sample_instance
 from .rng import derive_seed, generator
 from .solvers import greedy_nice, max_nice_exact, randomized_nice
-
-_SOLVERS = ("exact", "greedy", "randomized")
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.node_budget < 1:
             raise ValueError("node_budget must be positive")
-        if self.solver not in _SOLVERS:
+        if self.solver not in METHODS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.solver == "exact" and self.m > 60:
-            raise ValueError("the exact solver supports at most m = 60")
         # bound evaluation needs 0 < p < 1 even though the sampler allows the endpoints
         BoundParams(m=self.m, p=self.p, gamma=self.gamma, delta=self.delta)
 

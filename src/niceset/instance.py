@@ -25,7 +25,6 @@ from .rng import generator
 Edge = tuple[int, int]
 
 _CONFLICT_KINDS = ("none", "uniform-k")
-_METHODS = ("exact", "greedy", "randomized")
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class Instance:
     is accepted and canonicalized.  The conflict family is symmetrized by
     union at construction, so a partially specified family such as
     ``{3: {4}}`` becomes ``T(3) = {4}, T(4) = {3}``.  Self-conflicts,
-    out-of-range vertices and non-integer vertices are rejected.
+    out-of-range vertices and a non-integer ``m`` or vertex are rejected.
 
     ``conflicts`` is a mapping ``v -> T(v)`` or an array of ``(v, u)`` rows
     meaning ``u in T(v)``.  Every input becomes an integer ``(k, 2)`` row
@@ -86,9 +85,9 @@ class Instance:
 
     def __init__(self, m: int, edges: Iterable[Iterable[int]] = (),
                  conflicts: Mapping[int, Iterable[int]] | np.ndarray | None = None):
+        m = operator.index(m)
         if m < 1:
             raise ValueError("m must be at least 1")
-        m = int(m)
         edge_rows = _rows(edges, ((u, (v,)) for u, v in edges), m, "self-loop at vertex {}")
         conflicts = {} if conflicts is None else conflicts
         items = (((v, (u,)) for v, u in conflicts) if isinstance(conflicts, np.ndarray)
@@ -110,6 +109,11 @@ class Instance:
         object.__setattr__(self, "edges", frozenset(zip(lo.tolist(), hi.tolist())))
         object.__setattr__(self, "conflicts", family)
         object.__setattr__(self, "adjacency", adjacency)
+
+    def __hash__(self) -> int:
+        # the generated hash would hash ``conflicts``, a dict; equal
+        # instances have equal ``m`` and ``edges``, so this agrees with ==
+        return hash((self.m, self.edges))
 
     def to_dict(self) -> dict:
         return {
@@ -134,7 +138,7 @@ class Instance:
             raise ValueError(f"'conflicts' must be an object, got {type(conflicts).__name__}")
         try:
             return cls(
-                m=int(payload["m"]),
+                m=payload["m"],
                 edges=[tuple(e) for e in edges],
                 conflicts={int(v): set(ts) for v, ts in conflicts.items()},
             )
@@ -188,9 +192,13 @@ def adjacency_masks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row, "little") for row in packed]
 
 
+METHODS = ("exact", "greedy", "randomized")
+
+
 @dataclass(frozen=True)
 class NiceSetResult:
-    """A nice vertex set together with the solver that produced it."""
+    """A nice vertex set together with the solver that produced it, one of
+    :data:`METHODS`."""
 
     vertices: frozenset[int]
     size: int
@@ -198,8 +206,8 @@ class NiceSetResult:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.size != len(self.vertices):
             raise ValueError("size does not match the vertex set")
 

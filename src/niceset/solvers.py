@@ -40,23 +40,14 @@ def _clique_cover_bound(candidates: int, adj: list[int]) -> int:
     return cliques
 
 
-def _min_degree_greedy(adj: list[int], m: int, rng=None) -> int:
+def _min_degree_greedy(adj: list[int], m: int) -> int:
     """Greedy stable set: repeatedly take a minimum-degree vertex of the
-    residual graph and delete its closed neighborhood.  Ties go to the
-    smallest index unless ``rng`` is given, in which case a uniformly random
-    tied vertex is taken."""
+    residual graph, the smallest such index, and delete its closed
+    neighborhood."""
     remaining = (1 << m) - 1
     chosen = 0
     while remaining:
-        ties: list[int] = []
-        best = m + 1
-        for v in _bits(remaining):
-            d = (adj[v] & remaining).bit_count()
-            if d < best:
-                best, ties = d, [v]
-            elif d == best:
-                ties.append(v)
-        v = ties[0] if rng is None else int(ties[rng.integers(0, len(ties))])
+        v = min(_bits(remaining), key=lambda u: (adj[u] & remaining).bit_count())
         chosen |= 1 << v
         remaining &= ~(adj[v] | (1 << v))
     return chosen
@@ -75,9 +66,12 @@ def _check_witness(vertices: frozenset[int], inst: Instance) -> None:
 def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResult:
     """Maximum nice set by branch and bound on the union graph.
 
-    Branches on a maximum-residual-degree vertex (in/out) and prunes with the
-    greedy clique-cover bound.  Raises :class:`BudgetError` carrying the best
-    set found when more than ``node_budget`` search nodes are expanded.
+    Starts from the greedy set, branches on a maximum-residual-degree vertex
+    (take it, or drop it) and prunes with the greedy clique-cover bound.  The
+    search runs depth first on an explicit stack, take-child first, so its
+    depth is not limited by Python's recursion limit; ``node_budget`` is its
+    only limit.  Raises :class:`BudgetError` carrying the best set found when
+    more than ``node_budget`` search nodes are expanded.
     """
     if node_budget <= 0:
         raise ValueError("node_budget must be positive")
@@ -86,9 +80,9 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
     best_mask = _min_degree_greedy(adj, m)
     best_size = best_mask.bit_count()
     nodes = 0
-
-    def explore(candidates: int, chosen: int, size: int) -> None:
-        nonlocal best_mask, best_size, nodes
+    stack = [((1 << m) - 1, 0, 0)]  # pending (candidates, chosen, size) subproblems
+    while stack:
+        candidates, chosen, size = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise BudgetError(
@@ -97,35 +91,30 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
         if candidates == 0:
             if size > best_size:
                 best_size, best_mask = size, chosen
-            return
+            continue
         if size + _clique_cover_bound(candidates, adj) <= best_size:
-            return
+            continue
         pivot, pivot_deg = -1, -1
         for v in _bits(candidates):
             d = (adj[v] & candidates).bit_count()
             if d > pivot_deg:
                 pivot, pivot_deg = v, d
         bit = 1 << pivot
-        explore(candidates & ~(adj[pivot] | bit), chosen | bit, size + 1)
-        explore(candidates & ~bit, chosen, size)
-
-    explore((1 << m) - 1, 0, 0)
+        # the take child is pushed last, so it is searched first
+        stack.append((candidates & ~bit, chosen, size))
+        stack.append((candidates & ~(adj[pivot] | bit), chosen | bit, size + 1))
     vertices = _mask_to_vertices(best_mask)
     _check_witness(vertices, inst)
     return NiceSetResult(vertices=vertices, size=best_size, method="exact")
 
 
-def greedy_nice(inst: Instance, tie_break: str = "smallest-index",
-                seed: int | None = None) -> NiceSetResult:
-    """Maximal (not necessarily maximum) nice set by residual min-degree greedy."""
-    if tie_break not in ("smallest-index", "random"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    rng = generator(seed if seed is not None else 0) if tie_break == "random" else None
-    mask = _min_degree_greedy(adjacency_masks(inst.adjacency), inst.m, rng=rng)
+def greedy_nice(inst: Instance) -> NiceSetResult:
+    """Maximal (not necessarily maximum) nice set by residual min-degree
+    greedy; ties go to the smallest vertex."""
+    mask = _min_degree_greedy(adjacency_masks(inst.adjacency), inst.m)
     vertices = _mask_to_vertices(mask)
     _check_witness(vertices, inst)
-    return NiceSetResult(vertices=vertices, size=len(vertices), method="greedy",
-                         seed=seed if tie_break == "random" else None)
+    return NiceSetResult(vertices=vertices, size=len(vertices), method="greedy")
 
 
 def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> NiceSetResult:

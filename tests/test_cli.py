@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from niceset import Instance, build_instance, features
+from niceset import Instance, build_instance, features, solvers
 from niceset.cli import main
 
 from .conftest import planted_block_matrix
@@ -192,15 +192,23 @@ def test_domain_error_exits_one(capsys):
     assert "error" in err
 
 
-def test_budget_error_exits_two(capsys, tmp_path):
-    rng = np.random.default_rng(0)
-    names = [f"c{i}" for i in range(61)]
-    csv_path = write_csv(tmp_path, "wide.csv", names, rng.normal(size=(70, 61)))
-    code, _, err = run_cli(capsys, ["select", "--input", csv_path,
-                                    "--lambda-c", "0.9", "--lambda-mc", "10",
-                                    "--method", "exact"])
-    assert code == 2
-    assert "greedy" in err
+def test_budget_error_exits_two(capsys, tmp_path, monkeypatch):
+    # three 5-cycles of correlated columns: x_i = z_i + z_{i+1} around each
+    # cycle, so neighbours correlate near 0.5 and the rest near 0.  The
+    # maximum nice set, 6, equals the greedy start, but the clique-cover
+    # bound is 9, so the search does not end at the root
+    z = np.random.default_rng(0).normal(size=(400, 3, 5))
+    data = (z + np.roll(z, -1, axis=2)).reshape(400, 15)
+    csv_path = write_csv(tmp_path, "cycles.csv", [f"c{i}" for i in range(15)], data)
+    argv = ["select", "--input", csv_path, "--lambda-c", "0.3", "--lambda-mc", "100",
+            "--method", "exact"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and "selected 6 of 15 features" in out
+    monkeypatch.setattr(features, "max_nice_exact",
+                        lambda inst: solvers.max_nice_exact(inst, node_budget=1))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: exact search exceeded node budget 1\n"
 
 
 @pytest.mark.parametrize("body, message", [

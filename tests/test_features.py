@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from niceset import (BudgetError, CsvError, FeatureMatrix, VIF_MAX, build_instance,
+from niceset import (CsvError, FeatureMatrix, VIF_MAX, build_instance,
                      collinearity_graph, conflict_sets, features, is_nice, load_csv,
                      pearson_matrix, select_features, vif)
 from niceset.features import (_COEF_FLOOR, _fit_standardized, _standardize,
@@ -594,10 +594,19 @@ def test_select_witness_check_rejects_non_nice_answer(monkeypatch):
 
 
 def test_select_exact_budget_guard():
+    # 61 features: the node budget is the only limit.  networkx's maximum
+    # independent set of the union graph is 47 too
     rng = np.random.default_rng(0)
     fm = FeatureMatrix(names=tuple(f"c{i}" for i in range(61)),
                        data=rng.normal(size=(70, 61)))
-    with pytest.raises(BudgetError, match="greedy"):
-        select_features(fm, lambda_c=0.9, lambda_mc=10.0, method="exact")
+    report = select_features(fm, lambda_c=0.9, lambda_mc=10.0, method="exact")
+    assert len(report.selected) == 47 and report.witness_checked
     with pytest.raises(ValueError):
         select_features(fm, lambda_c=0.9, lambda_mc=10.0, method="bogus")
+    # 65 columns: exact selection keeps one feature per block and every
+    # independent one
+    fm = planted_block_matrix(n_blocks=10, block_size=5, n_indep=15)
+    chosen = set(select_features(fm, lambda_c=0.8, lambda_mc=5.0, method="exact").selected)
+    for b in range(10):
+        assert sum(1 for i in range(5) if f"block{b}_{i}" in chosen) == 1
+    assert {f"indep{i}" for i in range(15)} <= chosen and len(chosen) == 25

@@ -17,9 +17,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, p=0.5, solver="bogus")
     with pytest.raises(ValueError):
-        ExperimentConfig(m=61, p=0.5, solver="exact")
-    with pytest.raises(ValueError):
         ExperimentConfig(m=10, p=1.0)
+    # any m runs the exact solver; only node_budget limits it
+    report = run_lower_bound_experiment(ExperimentConfig(m=61, p=0.5, trials=2, solver="exact"))
+    assert len(report.empirical) == 2 and min(report.empirical) >= 1
 
 
 def test_upper_experiment_report_invariants():

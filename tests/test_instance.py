@@ -201,6 +201,20 @@ def test_adjacency_is_neither_serialized_nor_compared():
     assert set(built.to_dict()) == {"m", "edges", "conflicts"}
 
 
+def test_equal_instances_hash_alike():
+    edges, conflicts = [(1, 2), (3, 2)], {4: [1]}
+    listed = Instance(4, edges=edges, conflicts=conflicts)
+    arrayed = Instance(4, edges=pair_rows(edges), conflicts=conflict_rows(conflicts))
+    loaded = Instance.from_json(listed.to_json())
+    assert len({listed, arrayed, loaded}) == 1
+    assert hash(listed) == hash(arrayed) == hash(loaded)
+    # the adjacency is not a field, so it takes no part in the hash
+    altered = Instance(4, edges=edges, conflicts=conflicts)
+    object.__setattr__(altered, "adjacency", np.ones((4, 4), dtype=bool))
+    assert hash(altered) == hash(listed) and altered == listed
+    assert len({listed, Instance(4, edges=edges), Instance(3)}) == 3
+
+
 def pair_rows(pairs) -> np.ndarray:
     return np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
 
@@ -263,6 +277,13 @@ def test_constructor_rejects_non_integer_vertices(edges, conflicts):
         Instance(3, edges=edges, conflicts=conflicts)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, np.float64(3.0)], ids=["float", "integral", "numpy"])
+def test_constructor_rejects_non_integer_m(m):
+    # taken through operator.index like the vertices, not truncated by int()
+    with pytest.raises(TypeError):
+        Instance(m, edges=[(1, 2)])
+
+
 def test_numpy_integer_input_serializes_like_python_ints():
     for given_numpy, given_python in [
         (Instance(4, edges=np.array([[1, 2]])), Instance(4, edges=[(1, 2)])),
@@ -318,6 +339,9 @@ def test_json_round_trip_and_schema():
     {"m": 3, "edges": [[2.0, 3]]},
     {"m": 3, "conflicts": {"1": [2.5]}},
     {"m": 3, "conflicts": {"1": [3.0]}},
+    {"m": 3.9},                                    # non-integer m
+    {"m": 3.0},
+    {"m": "3"},
 ])
 def test_from_dict_rejects_malformed_payloads(payload):
     with pytest.raises(ValueError):

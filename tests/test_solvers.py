@@ -1,5 +1,6 @@
 """Solver correctness: exact against enumeration, greedy traces, randomized."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -53,6 +54,89 @@ def test_exact_budget_error_carries_best_so_far():
         max_nice_exact(inst, node_budget=0)
 
 
+def reference_recursive_exact(inst, node_budget=5_000_000):
+    """The recursive search that preceded the explicit stack, one Python
+    frame per search level, from the tie-list greedy start it used."""
+    m = inst.m
+    adj = niceset.instance.adjacency_masks(inst.adjacency)
+    remaining, best_mask = (1 << m) - 1, 0
+    while remaining:
+        ties, best = [], m + 1
+        for v in solvers._bits(remaining):
+            d = (adj[v] & remaining).bit_count()
+            if d < best:
+                best, ties = d, [v]
+            elif d == best:
+                ties.append(v)
+        best_mask |= 1 << ties[0]
+        remaining &= ~(adj[ties[0]] | (1 << ties[0]))
+    best_size = best_mask.bit_count()
+    nodes = 0
+
+    def explore(candidates, chosen, size):
+        nonlocal best_mask, best_size, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetError("over budget", best_size=best_size,
+                              best_vertices=solvers._mask_to_vertices(best_mask))
+        if candidates == 0:
+            if size > best_size:
+                best_size, best_mask = size, chosen
+            return
+        if size + solvers._clique_cover_bound(candidates, adj) <= best_size:
+            return
+        pivot, pivot_deg = -1, -1
+        for v in solvers._bits(candidates):
+            d = (adj[v] & candidates).bit_count()
+            if d > pivot_deg:
+                pivot, pivot_deg = v, d
+        bit = 1 << pivot
+        explore(candidates & ~(adj[pivot] | bit), chosen | bit, size + 1)
+        explore(candidates & ~bit, chosen, size)
+
+    explore((1 << m) - 1, 0, 0)
+    vertices = solvers._mask_to_vertices(best_mask)
+    return NiceSetResult(vertices=vertices, size=best_size, method="exact")
+
+
+def exact_outcome(solve, inst, node_budget):
+    try:
+        return solve(inst, node_budget=node_budget)
+    except BudgetError as exc:
+        return exc.best_size, exc.best_vertices
+
+
+def test_exact_stack_search_matches_the_recursive_search():
+    # p runs through 0 and 1, m through 1..70
+    ps = [0.0, 1.0, 0.05, 0.1, 0.2, 0.4, 0.7]
+    for idx in range(126):
+        m = 1 + (idx * 37) % 70
+        k = min(idx % 3, m - 1)
+        spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+        inst = sample_instance(m, ps[idx % 7], spec, seed=derive_seed(31, idx))
+        assert max_nice_exact(inst) == reference_recursive_exact(inst)
+        for budget in (1, 3, 50, 500):
+            assert exact_outcome(max_nice_exact, inst, budget) == \
+                exact_outcome(reference_recursive_exact, inst, budget)
+
+
+def test_exact_search_depth_is_not_limited_by_the_recursion_limit():
+    # 250 disjoint 5-cycles: the greedy start already has the maximum, 500,
+    # but the clique-cover bound is 750, so the root is not pruned and the
+    # search descends hundreds of levels before the budget runs out
+    edges = [(5 * c + i + 1, 5 * c + (i + 1) % 5 + 1) for c in range(250) for i in range(5)]
+    inst = Instance(1250, edges=edges)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.raises(BudgetError) as info:
+            max_nice_exact(inst, node_budget=1000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert info.value.best_size == 500
+    assert is_nice(info.value.best_vertices, inst)
+
+
 def test_greedy_path_trace():
     # degrees 1,2,2,1: pick 1, drop 2; residual 3-4 has degrees 1,1, pick 3
     path = Instance(4, edges=[(1, 2), (2, 3), (3, 4)])
@@ -62,17 +146,6 @@ def test_greedy_path_trace():
 def test_greedy_trivial_graphs():
     assert greedy_nice(Instance(6)).size == 6
     assert greedy_nice(complete_instance(6)).size == 1
-
-
-def test_greedy_tie_break_validation_and_random_mode():
-    inst = sample_instance(10, 0.4, seed=3)
-    with pytest.raises(ValueError):
-        greedy_nice(inst, tie_break="bogus")
-    a = greedy_nice(inst, tie_break="random", seed=9)
-    b = greedy_nice(inst, tie_break="random", seed=9)
-    assert a == b
-    assert is_nice(a.vertices, inst)
-    assert a.seed == 9
 
 
 @settings(max_examples=40, deadline=None)
