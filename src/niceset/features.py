@@ -29,6 +29,7 @@ from .solvers import greedy_nice, max_nice_exact, randomized_nice
 VIF_MAX = 1e12
 _RIDGE = 1e-10
 _COEF_FLOOR = 1e-8  # below this a coefficient is numerical zero (ridge scale)
+_EXACT_CORR = 1e-14  # |corr| this close to 1 is exact dependence up to rounding
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,58 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
     :class:`CsvError` naming the offending record and column; so do text
     that is not UTF-8 and records the ``csv`` module rejects (such as a
     field over its size limit), naming the file.  Missing values are
-    rejected, not imputed.
+    rejected, not imputed.  A ``delimiter`` that is not one character
+    raises ``ValueError`` before the file is opened.
 
-    Every cell is parsed by Python's ``float`` in one pass over the records.
-    Only a rejected input is walked again, record by record and cell by
-    cell, to report the first offending cell in file order.
+    The ``csv`` module reads the header and numpy's C reader the body,
+    converting each cell with the routine Python's ``float`` uses on ASCII
+    text.  A body numpy rejects or might read otherwise (quotes,
+    ``1_000``, non-ASCII digits, a line over the ``csv`` field size limit,
+    a ragged or short body, a non-finite value) is read again by the
+    ``csv`` module with every cell parsed by ``float``.  That reader alone
+    reports errors, naming the first bad record and cell in file order.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+    fm = _load_with_numpy(path, delimiter, has_header)
+    return _load_with_csv(path, delimiter, has_header) if fm is None else fm
+
+
+_BLANK_LINES = ("\n", "\r\n", "\r")  # lines the csv module reads as empty records
+
+
+def _load_with_numpy(path, delimiter: str, has_header: bool) -> FeatureMatrix | None:
+    """The CSV read by numpy's C reader, or ``None`` when the ``csv`` reader
+    must decide.  Lines come from a handle opened as the ``csv`` reader opens
+    it (never from the path, from which numpy would also decompress), so
+    both split the body at the same line ends."""
+    if delimiter in "\r\n":
+        return None  # numpy cannot split a line on a line end
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            header = (next(filter(None, csv.reader(handle, delimiter=delimiter)), None)
+                      if has_header else None)
+            lines = [line for line in handle if line not in _BLANK_LINES]
+        except (csv.Error, UnicodeDecodeError):
+            return None
+    # three lines at least also keep numpy from warning about an empty body
+    if len(lines) < 3 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=delimiter, comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    width = data.shape[1]
+    names = (tuple(f"f{j}" for j in range(1, width + 1)) if header is None
+             else tuple(cell.strip() for cell in header))
+    if len(names) != width or not np.isfinite(data).all():
+        return None
+    return FeatureMatrix(names=names, data=data)
+
+
+def _load_with_csv(path, delimiter: str, has_header: bool) -> FeatureMatrix:
+    """The CSV read by the ``csv`` module with every cell parsed by ``float``
+    in one pass; a rejected body is walked again for the first bad cell."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
@@ -160,12 +207,19 @@ def _check_variances(fm: FeatureMatrix) -> None:
 
 def pearson_matrix(fm: FeatureMatrix) -> np.ndarray:
     """Sample Pearson correlations of all column pairs: symmetric, unit
-    diagonal, entries in [-1, 1].  Constant columns are rejected."""
+    diagonal, entries in [-1, 1].  Constant columns are rejected.
+
+    An entry within ``1e-14`` of +-1 is set to +-1: exactly dependent
+    columns (a copy, a negation, an affine rescaling) compute a few ulps
+    short of 1, and would otherwise miss an edge at ``lambda_c = 1``."""
     _check_variances(fm)
     corr = np.corrcoef(fm.data, rowvar=False)
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
-    return np.clip(corr, -1.0, 1.0)
+    corr = np.clip(corr, -1.0, 1.0)
+    exact = np.abs(corr) >= 1.0 - _EXACT_CORR
+    corr[exact] = np.sign(corr[exact])
+    return corr
 
 
 def collinearity_graph(corr: np.ndarray, lambda_c: float) -> frozenset[Edge]:

@@ -9,6 +9,7 @@ Statistical margins are three binomial standard errors throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .bounds import (BoundParams, chernoff_bound, lower_size_threshold,
@@ -37,6 +38,8 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("m", "trials", "node_budget"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.node_budget < 1:

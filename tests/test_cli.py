@@ -225,6 +225,15 @@ def test_unreadable_csv_exits_one(capsys, tmp_path, body, message):
     assert message in err
 
 
+@pytest.mark.parametrize("delimiter", ["ab", ""])
+def test_bad_delimiter_exits_one(capsys, tmp_path, delimiter):
+    csv_path = write_csv(tmp_path, "ok.csv", ["a", "b"], [[1, 2], [2, 1], [3, 5], [4, 4]])
+    code, out, err = run_cli(capsys, ["select", "--input", csv_path, "--lambda-c", "0.8",
+                                      "--lambda-mc", "5", "--delimiter", delimiter])
+    assert code == 1 and out == ""
+    assert err == f"error: delimiter must be a single character, got {delimiter!r}\n"
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, ["select", "--input", "/nonexistent.csv",
                                     "--lambda-c", "0.8", "--lambda-mc", "5"])

@@ -2,10 +2,11 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from niceset import (CsvError, FeatureMatrix, VIF_MAX, build_instance,
                      collinearity_graph, conflict_sets, features, is_nice, load_csv,
@@ -137,10 +138,13 @@ def outcome(loader, path, **kwargs):
 NUMBER_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
-    st.sampled_from(["1_000", " 1.5 ", "\u0661\u0662", "\uff13.5", "-0", "+.5e-3", '"7"']),
+    st.sampled_from(["1_000", " 1.5 ", "\u0661\u0662", "\uff13.5", "-0", "+.5e-3", '"7"',
+                     '"8\n"', "1.", "\u30004", "5\x85"]),
 )
 ODD_CELLS = st.sampled_from(["inf", "-Infinity", "nan", "NaN", "1e400", "-1e400", "", " ",
                              "x", "1.2.3", "--1", "0x10", '"a;b,c"', '" 2 "', '"inf"'])
+# lines that are not blank to the csv module, though nothing but whitespace
+SPACE_LINES = st.sampled_from([" ", "\f", "\t", " \u3000"])
 
 
 @st.composite
@@ -148,30 +152,101 @@ def csv_texts(draw):
     clean = draw(st.booleans())
     width = draw(st.integers(1, 4))
     cells = NUMBER_CELLS if clean else st.one_of(NUMBER_CELLS, NUMBER_CELLS, ODD_CELLS)
-    lines = []
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    lines = [""] * draw(st.integers(0, 2))  # blank lines before the header
     has_header = draw(st.booleans())
     if has_header:
-        lines.append([f"c{j}" for j in range(width)])
+        lines.append(delimiter.join(f"c{j}" for j in range(width)))
     for _ in range(draw(st.integers(0, 6))):
-        if not clean and draw(st.integers(0, 9)) == 0:
-            lines.append([])  # a blank line
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("" if clean else draw(st.one_of(st.just(""), SPACE_LINES)))
             continue
         row_width = width if clean else draw(st.sampled_from([width] * 6 + [width - 1, width + 1]))
-        lines.append(draw(st.lists(cells, min_size=row_width, max_size=row_width)))
-    delimiter = draw(st.sampled_from([",", ";"]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(delimiter.join(line) for line in lines) + newline
+        lines.append(delimiter.join(draw(st.lists(cells, min_size=row_width,
+                                                  max_size=row_width))))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + newline
     return text, delimiter, has_header
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=csv_texts())
+@example(case=("a,b\r1,2\r3,4\r\r5,6\r", ",", True))
+@example(case=("a,b\r1,2\r3\r4,5\r6,7\r", ",", True))
+@example(case=("a\tb\n1\t 2\n3 \t4\n5\t6\n", "\t", True))
+@example(case=("a,b\n1,2\n \n3,4\n5,6\n", ",", True))
+@example(case=("1\n\f\n2\n3\n4\n", ",", False))
+@example(case=("\n\r\na;b\n1;2\n3;4\n5;6\n", ";", True))
+@example(case=('a,b\n"1",2\n3,4\n5,6\n', ",", True))
+@example(case=('a,b\n"1\n",2\n3,4\n5,6\n', ",", True))
+@example(case=("1\n2\n3\n4\n", "\n", False))
+@example(case=("a,b\n1,2,3\n4,5,6\n7,8,9\n", ",", True))
+@example(case=("a\r1\r2\r3\r", "\r", True))
 def test_load_csv_matches_reference_loader(tmp_path_factory, case):
     text, delimiter, has_header = case
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_text(text, encoding="utf-8", newline="")
     kwargs = dict(delimiter=delimiter, has_header=has_header)
     assert outcome(load_csv, path, **kwargs) == outcome(reference_load_csv, path, **kwargs)
+
+
+@pytest.mark.parametrize("text, delimiter, has_header", [
+    ("a,b\n1,2\n3,4\n5,6\n", ",", True),
+    ("\r\na,b\r\n1.5e-3, -2\r\n\r\n+3 ,4.\r\n-0,6E+2\r\n", ",", True),
+    ("a;b\r1;2\r3;4\r5;6", ";", True),
+    ("1\t2\n3\t4\n\n5\t6\n", "\t", False),
+])
+def test_clean_numeric_csv_never_reaches_the_csv_reader(tmp_path, monkeypatch, text, delimiter,
+                                                        has_header):
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    expected = outcome(reference_load_csv, path, delimiter=delimiter, has_header=has_header)
+
+    def csv_reader(*args):
+        raise AssertionError("the csv reader ran on a clean numeric CSV")
+
+    monkeypatch.setattr(features, "_load_with_csv", csv_reader)
+    assert outcome(load_csv, path, delimiter=delimiter, has_header=has_header) == expected
+
+
+def test_load_csv_rejects_a_finite_field_over_the_csv_limit(tmp_path):
+    # numpy's reader has no field size limit; this cell is a finite 0.0 to it
+    cell = "0." + "0" * (csv.field_size_limit() + 10) + "1"
+    path = write(tmp_path, f"a,b\n1,2\n{cell},2\n3,4\n5,6\n")
+    with pytest.raises(CsvError, match="line 3: field larger than field limit") as info:
+        load_csv(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_csv_reads_the_csv_field_limit_at_call_time(tmp_path):
+    path = write(tmp_path, "a,b\n1,2\n" + "1" * 150 + ",2\n3,4\n5,6\n")
+    assert load_csv(path).n == 4
+    old = csv.field_size_limit(100)
+    try:
+        with pytest.raises(CsvError, match="line 3: field larger than field limit"):
+            load_csv(path)
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n\n\r\n\n", "no data rows"),
+    ("\n\n", "empty file"),
+    ("a,b\n1,2\n\n3,4\n\n", "need at least 3 data rows, got 2"),
+])
+def test_load_csv_short_body_warns_nothing(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsvError, match=message):
+            load_csv(path)
+
+
+@pytest.mark.parametrize("delimiter", ["", "ab", ",,", None, 44])
+def test_load_csv_rejects_a_delimiter_that_is_not_one_character(tmp_path, delimiter):
+    # raised before the file is opened: this one does not exist
+    with pytest.raises(ValueError, match="delimiter must be a single character"):
+        load_csv(tmp_path / "missing.csv", delimiter=delimiter)
 
 
 @pytest.mark.parametrize("text, record, column, message", [
@@ -262,8 +337,8 @@ def test_collinearity_graph_matches_reference_at_the_threshold():
     x, y = rng.normal(size=(2, 50))
     data = np.column_stack([x, x, -x, y, 3.0 * x + 1.0, -y])
     corr = pearson_matrix(FeatureMatrix(names=tuple("abcdef"), data=data))
-    # duplicate, negated and rescaled columns sit at |corr| = 1 up to rounding;
-    # each threshold below equals some entry exactly
+    # duplicate, negated and rescaled columns sit at |corr| = 1; each
+    # threshold below equals some entry exactly
     at = [float(abs(corr[u, v])) for u, v in ((0, 1), (0, 2), (0, 4), (3, 5))]
     for lambda_c in (1.0, *at, 0.5, 1e-3):
         edges = collinearity_graph(corr, lambda_c)
@@ -271,6 +346,27 @@ def test_collinearity_graph_matches_reference_at_the_threshold():
         assert all(type(u) is int and type(v) is int for u, v in edges)
     assert (1, 2) in collinearity_graph(corr, at[0])
     assert (4, 6) in collinearity_graph(corr, at[3])
+
+
+EXACT_DEPENDENCE = {
+    "duplicate": lambda x: x.copy(), "negated": lambda x: -x, "times 3.7": lambda x: 3.7 * x,
+    "doubled": lambda x: 2.0 * x, "thirded": lambda x: x / 3.0, "shifted": lambda x: x + 1.0,
+    "affine 1e6": lambda x: 1e6 * x - 4.0,
+}
+
+
+@pytest.mark.parametrize("n", [3, 50, 1000])
+@pytest.mark.parametrize("seed", range(5))
+def test_exactly_dependent_columns_correlate_at_exactly_one(n, seed):
+    # computed, these pairs fall up to a few ulps short of |corr| = 1
+    x = np.random.default_rng(seed).normal(size=n)
+    data = np.column_stack([x] + [kind(x) for kind in EXACT_DEPENDENCE.values()])
+    fm = FeatureMatrix(names=("x", *EXACT_DEPENDENCE), data=data)
+    corr = pearson_matrix(fm)
+    assert np.array_equal(np.abs(corr[0]), np.ones(fm.m))
+    assert corr[0, 2] == -1.0
+    edges = collinearity_graph(corr, 1.0)
+    assert {(1, v) for v in range(2, fm.m + 1)} <= edges
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from niceset import (BudgetError, ConflictSpec, ExperimentConfig, Instance,
@@ -21,6 +22,19 @@ def test_config_validation():
     # any m runs the exact solver; only node_budget limits it
     report = run_lower_bound_experiment(ExperimentConfig(m=61, p=0.5, trials=2, solver="exact"))
     assert len(report.empirical) == 2 and min(report.empirical) >= 1
+
+
+@pytest.mark.parametrize("kwargs", [dict(m=10.0), dict(trials=2.5), dict(node_budget=2.5),
+                                    dict(trials="3")])
+def test_config_rejects_non_integers(kwargs):
+    with pytest.raises(TypeError):
+        ExperimentConfig(**{"m": 10, "p": 0.5, "solver": "greedy", **kwargs})
+
+
+def test_config_takes_integer_like_values_as_int():
+    cfg = ExperimentConfig(m=np.int64(10), p=0.5, trials=np.int32(2), node_budget=np.int64(9))
+    assert (cfg.m, cfg.trials, cfg.node_budget) == (10, 2, 9)
+    assert all(type(v) is int for v in (cfg.m, cfg.trials, cfg.node_budget))
 
 
 def test_upper_experiment_report_invariants():
