@@ -19,16 +19,12 @@ class BoundParams:
 
     ``gamma`` controls the upper bound's slack, ``delta`` the lower bound's;
     ``tau`` is the (expected) maximum conflict-set size, at least 1.
-    ``delta1``/``delta2`` are the growth-condition exponents and must satisfy
-    ``2*delta1 + delta2 < 1``.
     """
 
     m: int
     p: float
     gamma: float = 1.0
     delta: float = 0.25
-    delta1: float = 0.25
-    delta2: float = 0.25
     tau: float = 1.0
 
     def __post_init__(self):
@@ -40,10 +36,6 @@ class BoundParams:
             raise ValueError("gamma must be positive")
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-        if not (0.0 < self.delta1 < 1.0 and 0.0 < self.delta2 < 1.0):
-            raise ValueError("delta1 and delta2 must lie in (0, 1)")
-        if not 2.0 * self.delta1 + self.delta2 < 1.0:
-            raise ValueError("need 2*delta1 + delta2 < 1")
         if self.tau < 1.0:
             raise ValueError("tau must be at least 1")
 

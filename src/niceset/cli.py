@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     lem = sub.add_parser("verify-lemma",
                          help="existence sweep for mutually good constrained sets")
     lem.add_argument("--count", type=int, default=500, help="systems to generate")
-    lem.add_argument("--n-max", type=int, default=8, help="largest universe size")
+    lem.add_argument("--n-max", type=int, default=8,
+                     help="largest universe size (default 8); a system too large "
+                          "for the enumeration budget exits 2")
     _common_flags(lem)
 
     ch = sub.add_parser("chernoff", help="empirical Bernoulli-sum deviation check")

@@ -172,28 +172,20 @@ def h_set(system: GoodnessSystem, i_set: Iterable) -> frozenset:
 class _MaskView:
     """Bitmask lens over a system for exhaustive enumeration.
 
-    Element ``universe[i]`` is bit ``i``.  ``f``, ``h`` and constrainedness
-    are memoized per subset mask, so enumerations touch each subset's
-    callables once.
+    Element ``universe[i]`` is bit ``i``.  Only ``h`` is memoized per subset
+    mask: :meth:`constrained` reads ``h`` of every one-smaller subset, so a
+    sweep asks for each ``h`` several times, but for ``f`` and
+    constrainedness about once per mask.
     """
 
     def __init__(self, system: GoodnessSystem):
         self.system = system
         self.elements = system.universe
         self.index = {v: i for i, v in enumerate(self.elements)}
-        self.full = (1 << len(self.elements)) - 1
-        self._subset: dict[int, frozenset] = {}
-        self._f: dict[int, int] = {}
         self._h: dict[int, int] = {}
-        self._constrained: dict[int, bool] = {}
 
     def subset(self, mask: int) -> frozenset:
-        got = self._subset.get(mask)
-        if got is None:
-            got = frozenset(self.elements[i] for i in range(len(self.elements))
-                            if mask >> i & 1)
-            self._subset[mask] = got
-        return got
+        return frozenset(v for i, v in enumerate(self.elements) if mask >> i & 1)
 
     def to_mask(self, s: Iterable) -> int:
         mask = 0
@@ -202,11 +194,7 @@ class _MaskView:
         return mask
 
     def f_mask(self, mask: int) -> int:
-        got = self._f.get(mask)
-        if got is None:
-            got = self.to_mask(self.system.f(self.subset(mask)))
-            self._f[mask] = got
-        return got
+        return self.to_mask(self.system.f(self.subset(mask)))
 
     def h_mask(self, mask: int) -> int:
         got = self._h.get(mask)
@@ -221,12 +209,8 @@ class _MaskView:
         return got
 
     def constrained(self, mask: int) -> bool:
-        got = self._constrained.get(mask)
-        if got is None:
-            got = all(not (self.h_mask(mask & ~(1 << i)) >> i & 1)
-                      for i in range(len(self.elements)) if mask >> i & 1)
-            self._constrained[mask] = got
-        return got
+        return all(not (self.h_mask(mask & ~(1 << i)) >> i & 1)
+                   for i in range(len(self.elements)) if mask >> i & 1)
 
 
 def _enumeration_size(n: int, i: int) -> int:
@@ -255,13 +239,11 @@ class FractionTable:
     """Exact fractions ``p_1..p_L`` and ``q_1..q_L``.
 
     ``p`` is non-increasing and ``q`` non-decreasing by definition; both are
-    validated.  ``exact`` records whether the entries came from exhaustive
-    enumeration (as opposed to analytic bounds supplied by the caller).
+    validated.
     """
 
     p: tuple
     q: tuple
-    exact: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(Fraction(x) for x in self.p))
@@ -301,7 +283,7 @@ def fraction_table(system: GoodnessSystem, up_to: int,
         max_h[size] = max(max_h[size], Fraction(view.h_mask(mask).bit_count(), n))
     # Running extrema from size 0 on, so f(empty) and h(empty) count at every i.
     return FractionTable(p=tuple(accumulate(min_f, min))[1:],
-                         q=tuple(accumulate(max_h, max))[1:], exact=True)
+                         q=tuple(accumulate(max_h, max))[1:])
 
 
 def compute_p(system: GoodnessSystem, i: int, max_subsets: int = 2_000_000) -> Fraction:
@@ -314,21 +296,19 @@ def compute_q(system: GoodnessSystem, i: int, max_subsets: int = 2_000_000) -> F
     return fraction_table(system, i, max_subsets).q_at(i)
 
 
-def construction_success_bound(table: FractionTable, L: int,
-                               q1: Fraction | float | None = None) -> Fraction:
+def construction_success_bound(table: FractionTable, L: int) -> Fraction:
     """Iterated success bound ``prod_{j=2}^{L-1} (p_j - q_j) * (1 - q_1)``.
 
     By the convention that a single element is always a mutually good
-    constrained set, the leading factor ``(1 - q_1)`` is taken as 1 unless
-    the caller overrides ``q1``.  Each factor is clamped below at 0 (one
-    exhausted factor makes the iterated bound vacuous, so the product must
-    not recover sign).
+    constrained set, the leading factor ``(1 - q_1)`` is taken as 1.  Each
+    factor is clamped below at 0 (one exhausted factor makes the iterated
+    bound vacuous, so the product must not recover sign).
     """
     if L < 2:
         raise ValueError("L must be at least 2")
     if L >= 3 and len(table.p) < L - 1:
         raise ValueError(f"table must cover indices up to {L - 1}")
-    bound = max(Fraction(0), 1 - Fraction(q1 if q1 is not None else 0))
+    bound = Fraction(1)
     for j in range(2, L):
         bound *= max(Fraction(0), table.p_at(j) - table.q_at(j))
     return bound

@@ -35,10 +35,9 @@ class ExperimentConfig:
     seed: int = 0
     solver: str = "exact"
     node_budget: int = 5_000_000
-    output_path: str | None = None
 
     def __post_init__(self):
-        for name in ("m", "trials", "node_budget"):
+        for name in ("m", "trials", "seed", "node_budget"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -202,11 +201,14 @@ def existence_violations(system: GoodnessSystem) -> tuple[list[dict], int]:
 def run_lemma_verification(count: int, n_max: int = 8, seed: int = 0) -> LemmaReport:
     """Sweep ``count`` random instance systems (random edges plus random
     symmetric conflict families, with the conflict-avoidance constraint) and
-    check the existence guarantee at every cardinality where it applies."""
+    check the existence guarantee at every cardinality where it applies.
+    Universe sizes are drawn from ``2..n_max``; the first system over the
+    enumeration budget raises :class:`BudgetError` naming its index."""
+    count, n_max, seed = (operator.index(x) for x in (count, n_max, seed))
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not 2 <= n_max <= 10:
-        raise ValueError("n_max must lie in 2..10")
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
     all_violations: list[dict] = []
     fired_total = 0
     for k in range(count):
@@ -216,7 +218,10 @@ def run_lemma_verification(count: int, n_max: int = 8, seed: int = 0) -> LemmaRe
         k_conflict = int(rng.integers(0, min(3, n)))
         spec = ConflictSpec.uniform(k_conflict) if k_conflict else ConflictSpec.none()
         inst = sample_instance(n, p, spec, seed=derive_seed(seed, k, 1))
-        violations, fired = existence_violations(instance_system(inst))
+        try:
+            violations, fired = existence_violations(instance_system(inst))
+        except BudgetError as exc:
+            raise BudgetError(f"system {k}: {exc}") from exc
         for record in violations:
             record["system_index"] = k
         all_violations.extend(violations)

@@ -40,6 +40,7 @@ class ConflictSpec:
     k: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.kind not in _CONFLICT_KINDS:
             raise ValueError(f"unknown conflict kind {self.kind!r}; expected one of {_CONFLICT_KINDS}")
         if self.k < 0:

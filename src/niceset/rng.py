@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -10,9 +12,9 @@ def derive_seed(master: int, *path: int) -> int:
 
     Uses numpy's SeedSequence hashing, which is stable across platforms and
     library versions.  Trial ``t`` therefore gets the same seed no matter how
-    many other trials run or in which order.
+    many other trials run or in which order.  Non-integers raise ``TypeError``.
     """
-    entropy = (int(master),) + tuple(int(x) for x in path)
+    entropy = tuple(operator.index(x) for x in (master, *path))
     if any(x < 0 for x in entropy):
         raise ValueError("seeds and derivation indices must be non-negative")
     words = np.random.SeedSequence(entropy=entropy).generate_state(2, dtype=np.uint32)
@@ -20,5 +22,5 @@ def derive_seed(master: int, *path: int) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """A PCG64 generator seeded deterministically from ``seed``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    """A PCG64 generator seeded deterministically from the integer ``seed``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(operator.index(seed))))

@@ -86,8 +86,6 @@ def test_chernoff_domain_errors():
     dict(m=100, p=0.5, delta=0.5),
     dict(m=100, p=0.5, delta=0.0),
     dict(m=100, p=0.5, tau=0.5),
-    dict(m=100, p=0.5, delta1=0.4, delta2=0.3),   # 2*d1 + d2 = 1.1
-    dict(m=100, p=0.5, delta1=0.0),
 ])
 def test_bound_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

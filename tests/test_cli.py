@@ -82,6 +82,20 @@ def test_verify_lemma_exit_zero(capsys, tmp_path):
     assert payload["counterexamples"] == []
 
 
+def test_verify_lemma_above_ten_elements_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, ["verify-lemma", "--count", "20", "--n-max", "12",
+                                    "--seed", "1"])
+    assert code == 0
+    assert "0 counterexamples" in out
+
+
+def test_verify_lemma_over_budget_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["verify-lemma", "--count", "1", "--n-max", "40",
+                                      "--seed", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: system 0: enumerating subsets of size <= 34 over 35 elements")
+
+
 def test_chernoff_subcommand(capsys, tmp_path):
     out_path = tmp_path / "ch.json"
     code, _, _ = run_cli(capsys, ["chernoff", "--r", "40", "--p", "0.5",

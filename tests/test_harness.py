@@ -10,6 +10,7 @@ from niceset import (BudgetError, ConflictSpec, ExperimentConfig, Instance,
                      binomial_deviation_tail, existence_violations,
                      instance_system, run_chernoff_check, run_lemma_verification,
                      run_lower_bound_experiment, run_upper_bound_experiment)
+from niceset.rng import derive_seed, generator
 
 
 def test_config_validation():
@@ -32,9 +33,10 @@ def test_config_rejects_non_integers(kwargs):
 
 
 def test_config_takes_integer_like_values_as_int():
-    cfg = ExperimentConfig(m=np.int64(10), p=0.5, trials=np.int32(2), node_budget=np.int64(9))
-    assert (cfg.m, cfg.trials, cfg.node_budget) == (10, 2, 9)
-    assert all(type(v) is int for v in (cfg.m, cfg.trials, cfg.node_budget))
+    cfg = ExperimentConfig(m=np.int64(10), p=0.5, trials=np.int32(2), node_budget=np.int64(9),
+                           seed=np.uint64(3))
+    assert (cfg.m, cfg.trials, cfg.node_budget, cfg.seed) == (10, 2, 9, 3)
+    assert all(type(v) is int for v in (cfg.m, cfg.trials, cfg.node_budget, cfg.seed))
 
 
 def test_upper_experiment_report_invariants():
@@ -101,7 +103,39 @@ def test_lemma_verification_sweep_small():
     with pytest.raises(ValueError):
         run_lemma_verification(count=0)
     with pytest.raises(ValueError):
-        run_lemma_verification(count=5, n_max=11)
+        run_lemma_verification(count=5, n_max=1)
+
+
+def test_lemma_verification_above_ten_elements():
+    # n_max has no upper cap; the enumeration budget is the only limit
+    report = run_lemma_verification(count=30, n_max=12, seed=5)
+    assert report.counterexamples == ()
+    assert report.conditions_fired > 0
+    assert run_lemma_verification(count=30, n_max=12, seed=5) == report
+
+
+def test_lemma_verification_budget_error_names_the_system():
+    # seed 0 draws n = 35 for system 0: 2**35 - 1 subsets, over the budget
+    with pytest.raises(BudgetError, match=r"^system 0: enumerating subsets of size "
+                                          r"<= 34 over 35 elements exceeds the budget"):
+        run_lemma_verification(count=1, n_max=40, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: derive_seed(1.5, 2),
+    lambda: derive_seed(1, 2.0),
+    lambda: generator(1.5),
+    lambda: ExperimentConfig(m=10, p=0.5, seed=1.5),
+    lambda: run_lemma_verification(2, n_max=4.5),
+    lambda: run_lemma_verification(2.0),
+    lambda: run_lemma_verification(2, seed=0.5),
+    lambda: ConflictSpec.uniform(1.5),
+], ids=["derive_seed-master", "derive_seed-path", "generator", "config-seed",
+        "lemma-n_max", "lemma-count", "lemma-seed", "conflict-k"])
+def test_float_seeds_and_counts_are_rejected(call):
+    # truncating 1.5 to 1 would run a different seed or size than the one reported
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_binomial_tail_oracle_and_validation():
