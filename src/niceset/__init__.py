@@ -17,15 +17,14 @@ from .features import (FeatureMatrix, SelectionReport, build_instance,
                        select_features, vif, VIF_MAX)
 from .goodness import (AxiomReport, AxiomViolation, FractionTable, GoodnessSystem,
                        attempt_success_bound, brute_force_mutually_good,
-                       check_goodness_axioms, compute_p, compute_q,
-                       construction_success_bound, fraction_table, good_set,
-                       graph_system, h_set, instance_system, is_constrained,
-                       is_mutually_good, randomized_construct,
+                       check_goodness_axioms, construction_success_bound,
+                       fraction_table, good_set, graph_system, h_set, instance_system,
+                       is_constrained, is_mutually_good, randomized_construct,
                        system_from_singletons)
 from .harness import (BoundReport, ChernoffReport, ExperimentConfig, LemmaReport,
                       binomial_deviation_tail, existence_violations,
-                      run_chernoff_check, run_lemma_verification,
-                      run_lower_bound_experiment, run_upper_bound_experiment)
+                      run_bound_experiment, run_chernoff_check,
+                      run_lemma_verification)
 from .instance import ConflictSpec, Instance, NiceSetResult, is_nice, sample_instance
 from .rng import derive_seed
 from .solvers import greedy_nice, max_nice_exact, randomized_nice
@@ -33,20 +32,19 @@ from .solvers import greedy_nice, max_nice_exact, randomized_nice
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport", "AxiomViolation", "BoundParams", "BoundReport", "BoundValue",
-    "BudgetError", "ChernoffReport", "ConflictSpec", "CsvError",
+    "AxiomReport", "AxiomViolation", "BoundParams", "BoundReport",
+    "BoundValue", "BudgetError", "ChernoffReport", "ConflictSpec", "CsvError",
     "ExperimentConfig", "FeatureMatrix", "FractionTable", "GoodnessSystem",
     "Instance", "LemmaReport", "NiceSetResult", "SelectionReport", "VIF_MAX",
     "attempt_success_bound", "binomial_deviation_tail",
     "brute_force_mutually_good", "build_instance", "check_goodness_axioms",
-    "chernoff_bound", "collinearity_graph", "compute_p", "compute_q",
-    "conflict_sets", "construction_success_bound", "derive_seed",
-    "existence_violations", "fraction_table", "good_set", "graph_system",
-    "greedy_nice", "h_set", "instance_system", "is_constrained",
-    "is_mutually_good", "is_nice", "load_csv", "lower_size_threshold",
-    "max_nice_exact", "pearson_matrix", "randomized_construct",
-    "randomized_nice", "run_chernoff_check", "run_lemma_verification",
-    "run_lower_bound_experiment", "run_upper_bound_experiment",
-    "sample_instance", "select_features", "size_lower_bound",
-    "size_upper_bound", "system_from_singletons", "upper_size_threshold", "vif",
+    "chernoff_bound", "collinearity_graph", "conflict_sets",
+    "construction_success_bound", "derive_seed", "existence_violations",
+    "fraction_table", "good_set", "graph_system", "greedy_nice", "h_set",
+    "instance_system", "is_constrained", "is_mutually_good", "is_nice",
+    "load_csv", "lower_size_threshold", "max_nice_exact", "pearson_matrix",
+    "randomized_construct", "randomized_nice", "run_bound_experiment",
+    "run_chernoff_check", "run_lemma_verification", "sample_instance",
+    "select_features", "size_lower_bound", "size_upper_bound",
+    "system_from_singletons", "upper_size_threshold", "vif",
 ]

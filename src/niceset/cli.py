@@ -17,8 +17,8 @@ from .bounds import (BoundParams, lower_size_threshold, size_lower_bound,
                      size_upper_bound, upper_size_threshold)
 from .errors import BudgetError
 from .features import load_csv, select_features
-from .harness import (ExperimentConfig, run_chernoff_check, run_lemma_verification,
-                      run_lower_bound_experiment, run_upper_bound_experiment)
+from .harness import (ExperimentConfig, run_bound_experiment, run_chernoff_check,
+                      run_lemma_verification)
 from .instance import METHODS, ConflictSpec
 
 SCHEMA_VERSION = 1
@@ -128,8 +128,7 @@ def _cmd_simulate(args, which: str) -> None:
     cfg = ExperimentConfig(m=args.m, p=args.p, gamma=args.gamma, delta=args.delta,
                            conflicts=spec, trials=args.trials, seed=args.seed,
                            solver=args.solver)
-    run = run_upper_bound_experiment if which == "upper" else run_lower_bound_experiment
-    rep = run(cfg)
+    rep = run_bound_experiment(cfg)
     if which == "upper":
         lines = [
             f"threshold (upper): {rep.threshold_upper}",

@@ -195,25 +195,42 @@ def _constant(columns: np.ndarray, sd: np.ndarray | float) -> np.ndarray:
     return (columns.max(axis=0) == columns.min(axis=0)) | (sd == 0.0)
 
 
-def _check_variances(fm: FeatureMatrix) -> None:
-    # Fortran order sums each column contiguously, as a per-column np.std
-    # does, so the zero test sees the same bits.
+def _constant_error(fm: FeatureMatrix, j: int) -> ValueError:
+    """The error every entry point raises for constant feature ``j`` (1-based)."""
+    return ValueError(f"feature {fm.names[j - 1]!r} (column {j}) is constant")
+
+
+def _standardize(fm: FeatureMatrix, j: int) -> np.ndarray:
+    column = fm.column(j)
+    sd = float(np.std(column))
+    if _constant(column, sd):
+        raise _constant_error(fm, j)
+    return (column - float(np.mean(column))) / sd
+
+
+def _standardized_columns(fm: FeatureMatrix) -> np.ndarray:
+    """All columns standardized at once, bit for bit as :func:`_standardize`
+    does each: Fortran order sums each column contiguously, as a 1-d
+    reduction does, and the result is returned in C order.  The first
+    constant column is rejected."""
     columns = np.asfortranarray(fm.data)
-    constant = np.flatnonzero(_constant(columns, np.std(columns, axis=0)))
+    sd = np.std(columns, axis=0)
+    constant = np.flatnonzero(_constant(columns, sd))
     if constant.size:
-        j = int(constant[0]) + 1
-        raise ValueError(f"feature {fm.names[j - 1]!r} (column {j}) is constant")
+        raise _constant_error(fm, int(constant[0]) + 1)
+    return np.ascontiguousarray((columns - np.mean(columns, axis=0)) / sd)
 
 
 def pearson_matrix(fm: FeatureMatrix) -> np.ndarray:
-    """Sample Pearson correlations of all column pairs: symmetric, unit
+    """Sample Pearson correlations of all column pairs, as the Gram matrix
+    ``Z^T Z / n`` of the standardized columns ``Z``: symmetric, unit
     diagonal, entries in [-1, 1].  Constant columns are rejected.
 
     An entry within ``1e-14`` of +-1 is set to +-1: exactly dependent
     columns (a copy, a negation, an affine rescaling) compute a few ulps
     short of 1, and would otherwise miss an edge at ``lambda_c = 1``."""
-    _check_variances(fm)
-    corr = np.corrcoef(fm.data, rowvar=False)
+    design = _standardized_columns(fm)
+    corr = design.T @ design / fm.n
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
     corr = np.clip(corr, -1.0, 1.0)
@@ -235,25 +252,6 @@ def collinearity_graph(corr: np.ndarray, lambda_c: float) -> frozenset[Edge]:
     return frozenset(zip((rows[hit] + 1).tolist(), (cols[hit] + 1).tolist()))
 
 
-def _standardize(column: np.ndarray, what: str) -> np.ndarray:
-    sd = float(np.std(column))
-    if _constant(column, sd):
-        raise ValueError(f"{what} is constant; cannot standardize")
-    return (column - float(np.mean(column))) / sd
-
-
-def _standardized_columns(fm: FeatureMatrix) -> np.ndarray:
-    """All columns standardized at once, bit for bit as :func:`_standardize`
-    does each: Fortran order sums each column contiguously, as a 1-d
-    reduction does, and the result is returned in C order."""
-    columns = np.asfortranarray(fm.data)
-    sd = np.std(columns, axis=0)
-    constant = np.flatnonzero(_constant(columns, sd))
-    if constant.size:
-        raise ValueError(f"feature {fm.names[constant[0]]!r} is constant; cannot standardize")
-    return np.ascontiguousarray((columns - np.mean(columns, axis=0)) / sd)
-
-
 def _fit_standardized(fm: FeatureMatrix, j: int, regressors: tuple[int, ...]):
     """Ridge-damped least squares of standardized column ``j`` on the
     standardized regressors.  Returns ``(r_squared, coefficients)``.
@@ -262,10 +260,8 @@ def _fit_standardized(fm: FeatureMatrix, j: int, regressors: tuple[int, ...]):
     collinear designs solvable instead of crashing.  The residual-based R^2
     lies in [0, 1] by construction.
     """
-    target = _standardize(fm.column(j), f"feature {fm.names[j - 1]!r}")
-    design = np.column_stack([
-        _standardize(fm.column(r), f"feature {fm.names[r - 1]!r}") for r in regressors
-    ])
+    target = _standardize(fm, j)
+    design = np.column_stack([_standardize(fm, r) for r in regressors])
     n, k = design.shape
     gram = design.T @ design / n
     moment = design.T @ target / n
@@ -310,23 +306,28 @@ def conflict_sets(fm: FeatureMatrix, lambda_mc: float, k_top: int = 3) -> dict[i
     ``u in T(v)  iff  v in T(u)``.
 
     All ``m`` regressions come from one inverse ``P`` of the ridged
-    correlation matrix ``R + 1e-10 I`` of the standardized columns: feature
-    ``j`` has coefficients ``beta_k = -P[j, k] / P[j, j]`` (``k != j``) and
-    ``R^2 = beta . R[j] + 1e-10 |beta|^2``, the residual-based R^2 of the
-    same ridge fit :func:`vif` runs.  (The textbook ``1 - 1/P[j, j]`` drops
-    the ridge term and misses the ``VIF_MAX`` cap on exactly collinear
-    columns.)  Requires ``n > m`` observations; with fewer, every feature
-    fits perfectly and the screen would flag them all.
+    correlation matrix ``R + 1e-10 I``, ``R`` being :func:`pearson_matrix`:
+    feature ``j`` has coefficients ``beta_k = -P[j, k] / P[j, j]``
+    (``k != j``) and ``R^2 = beta . R[j] + 1e-10 |beta|^2``, the
+    residual-based R^2 of the same ridge fit :func:`vif` runs.  (The
+    textbook ``1 - 1/P[j, j]`` drops the ridge term and misses the
+    ``VIF_MAX`` cap on exactly collinear columns.)  Requires ``n > m``
+    observations; with fewer, every feature fits perfectly and the screen
+    would flag them all.
     """
+    return _vif_screen(pearson_matrix(fm), fm.n, lambda_mc, k_top)
+
+
+def _vif_screen(corr: np.ndarray, n: int, lambda_mc: float,
+                k_top: int) -> dict[int, frozenset[int]]:
+    """:func:`conflict_sets` on the correlation matrix of ``n`` observations."""
     if lambda_mc <= 1.0:
         raise ValueError("lambda_mc must exceed 1")
     if k_top < 1:
         raise ValueError("k_top must be at least 1")
-    n, m = fm.n, fm.m
+    m = corr.shape[0]
     if n <= m:
         raise ValueError(f"need n > {m} observations, got {n}")
-    design = _standardized_columns(fm)
-    corr = design.T @ design / n
     inverse = np.linalg.inv(corr + _RIDGE * np.eye(m))
     coef = -inverse / np.diag(inverse)[:, None]
     np.fill_diagonal(coef, 0.0)
@@ -382,9 +383,11 @@ class SelectionReport:
 
 def build_instance(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,
                    k_top: int = 3) -> Instance:
-    """Derive the model instance: collinearity edges plus VIF conflicts."""
-    edges = collinearity_graph(pearson_matrix(fm), lambda_c)
-    return Instance(m=fm.m, edges=edges, conflicts=conflict_sets(fm, lambda_mc, k_top))
+    """Derive the model instance: collinearity edges plus VIF conflicts,
+    both from one :func:`pearson_matrix`."""
+    corr = pearson_matrix(fm)
+    return Instance(m=fm.m, edges=collinearity_graph(corr, lambda_c),
+                    conflicts=_vif_screen(corr, fm.n, lambda_mc, k_top))
 
 
 def select_features(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,

@@ -19,10 +19,9 @@ respect to ``I`` is not accepted.
 
 :func:`fraction_table` enumerates the worst-case fraction of good (resp.
 constraint-violating) elements over B-constrained sets of bounded size, as
-exact rationals; :func:`compute_p` and :func:`compute_q` read single entries.
-When ``p[L-1] > q[L-1]`` a mutually good B-constrained set of cardinality
-``L`` exists; :func:`randomized_construct` finds one by uniform sampling and
-:func:`brute_force_mutually_good` by exhaustive search.
+exact rationals.  When ``p[L-1] > q[L-1]`` a mutually good B-constrained set
+of cardinality ``L`` exists; :func:`randomized_construct` finds one by
+uniform sampling and :func:`brute_force_mutually_good` by exhaustive search.
 """
 
 from __future__ import annotations
@@ -284,16 +283,6 @@ def fraction_table(system: GoodnessSystem, up_to: int,
     # Running extrema from size 0 on, so f(empty) and h(empty) count at every i.
     return FractionTable(p=tuple(accumulate(min_f, min))[1:],
                          q=tuple(accumulate(max_h, max))[1:])
-
-
-def compute_p(system: GoodnessSystem, i: int, max_subsets: int = 2_000_000) -> Fraction:
-    """Worst-case good fraction ``p_i`` of :func:`fraction_table`."""
-    return fraction_table(system, i, max_subsets).p_at(i)
-
-
-def compute_q(system: GoodnessSystem, i: int, max_subsets: int = 2_000_000) -> Fraction:
-    """Worst-case violating fraction ``q_i`` of :func:`fraction_table`."""
-    return fraction_table(system, i, max_subsets).q_at(i)
 
 
 def construction_success_bound(table: FractionTable, L: int) -> Fraction:

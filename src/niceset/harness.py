@@ -34,15 +34,12 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     solver: str = "exact"
-    node_budget: int = 5_000_000
 
     def __post_init__(self):
-        for name in ("m", "trials", "seed", "node_budget"):
+        for name in ("m", "trials", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.node_budget < 1:
-            raise ValueError("node_budget must be positive")
         if self.solver not in METHODS:
             raise ValueError(f"unknown solver {self.solver!r}")
         # bound evaluation needs 0 < p < 1 even though the sampler allows the endpoints
@@ -95,23 +92,28 @@ def _binomial_stderr(fraction: float, trials: int) -> float:
     return math.sqrt(fraction * (1.0 - fraction) / trials)
 
 
-def _solve(inst: Instance, solver: str, seed: int, node_budget: int) -> int:
+def _solve(inst: Instance, solver: str, seed: int) -> int:
     if solver == "exact":
-        return max_nice_exact(inst, node_budget=node_budget).size
+        return max_nice_exact(inst).size
     if solver == "greedy":
         return greedy_nice(inst).size
     return randomized_nice(inst, seed=seed).size
 
 
-def _run_bound_trials(cfg: ExperimentConfig) -> BoundReport:
+def run_bound_experiment(cfg: ExperimentConfig) -> BoundReport:
+    """Sample ``trials`` instances, solve each, and read the sizes against
+    both thresholds: the fraction reaching the upper threshold versus the
+    claimed failure probability ``m**-gamma``, and the fraction falling below
+    ``max(1, ceil(size_lower_bound))`` versus ``m**-delta``.  ``tau`` is
+    estimated as the mean over trials of ``max_v |T(v)|`` (at least 1).  A
+    solver over its budget raises :class:`BudgetError` naming the trial."""
     seeds, sizes, max_conflicts = [], [], []
     for t in range(cfg.trials):
         trial = derive_seed(cfg.seed, t)
         seeds.append(trial)
         inst = sample_instance(cfg.m, cfg.p, cfg.conflicts, seed=trial)
         try:
-            sizes.append(_solve(inst, cfg.solver, seed=trial,
-                                node_budget=cfg.node_budget))
+            sizes.append(_solve(inst, cfg.solver, seed=trial))
         except BudgetError as exc:
             raise BudgetError(f"trial {t}: {exc}", best_size=exc.best_size,
                               best_vertices=exc.best_vertices) from exc
@@ -139,21 +141,6 @@ def _run_bound_trials(cfg: ExperimentConfig) -> BoundReport:
         claimed_lower_failure=size_lower_bound(
             BoundParams(m=cfg.m, p=cfg.p, delta=cfg.delta, tau=tau)).failure_prob,
     )
-
-
-def run_upper_bound_experiment(cfg: ExperimentConfig) -> BoundReport:
-    """Sample ``trials`` instances and compare the fraction whose maximum
-    nice-set size reaches the upper threshold against the claimed failure
-    probability ``m**-gamma``."""
-    return _run_bound_trials(cfg)
-
-
-def run_lower_bound_experiment(cfg: ExperimentConfig) -> BoundReport:
-    """As :func:`run_upper_bound_experiment`, read against the lower
-    threshold: the fraction of trials falling below
-    ``max(1, ceil(size_lower_bound))`` versus ``m**-delta``.  ``tau`` is
-    estimated as the mean over trials of ``max_v |T(v)|`` (at least 1)."""
-    return _run_bound_trials(cfg)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ integer computations with no floating point involved.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import BudgetError
@@ -73,6 +75,7 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
     only limit.  Raises :class:`BudgetError` carrying the best set found when
     more than ``node_budget`` search nodes are expanded.
     """
+    node_budget = operator.index(node_budget)
     if node_budget <= 0:
         raise ValueError("node_budget must be positive")
     m = inst.m

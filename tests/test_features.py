@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from niceset import (CsvError, FeatureMatrix, VIF_MAX, build_instance,
+from niceset import (CsvError, FeatureMatrix, VIF_MAX, build_instance, cli,
                      collinearity_graph, conflict_sets, features, is_nice, load_csv,
                      pearson_matrix, select_features, vif)
 from niceset.features import (_COEF_FLOOR, _fit_standardized, _standardize,
@@ -303,16 +303,19 @@ def test_pearson_rejects_constant_column():
         pearson_matrix(FeatureMatrix(names=("a", "b"), data=data))
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(5, 40), m=st.integers(2, 6))
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), m=st.integers(2, 8))
 def test_pearson_matrix_properties(seed, n, m):
+    # np.corrcoef is the reference for the standardized Gram
     rng = np.random.default_rng(seed)
-    fm = FeatureMatrix(names=tuple(f"c{i}" for i in range(m)),
-                       data=rng.normal(size=(n, m)))
-    corr = pearson_matrix(fm)
+    scale = 10.0 ** rng.uniform(-3, 3, size=m)
+    shift = rng.uniform(-1e3, 1e3, size=m)
+    data = rng.normal(size=(n, m)) * scale + shift
+    corr = pearson_matrix(FeatureMatrix(names=tuple(f"c{i}" for i in range(m)), data=data))
+    np.testing.assert_allclose(corr, np.corrcoef(data, rowvar=False), rtol=0.0, atol=1e-12)
     assert np.array_equal(corr, corr.T)
-    assert np.all(np.abs(corr) <= 1.0 + 1e-12)
-    assert np.allclose(np.diag(corr), 1.0)
+    assert np.all(np.diag(corr) == 1.0)
+    assert np.all(np.abs(corr) <= 1.0)
 
 
 def test_pearson_rejects_the_first_constant_column_by_name():
@@ -459,7 +462,7 @@ def test_standardized_columns_match_per_column_standardize(n):
     rng = np.random.default_rng(n)
     data = rng.normal(size=(n, 5)) * [1.0, 1e-3, 1e6, 0.1, 7.0] + [0.0, 5.0, -3e6, 0.1, 1e9]
     fm = FeatureMatrix(names=tuple("abcde"), data=data)
-    expected = np.column_stack([_standardize(fm.column(j), "") for j in range(1, 6)])
+    expected = np.column_stack([_standardize(fm, j) for j in range(1, 6)])
     assert _standardized_columns(fm).tobytes() == expected.tobytes()
 
 
@@ -469,10 +472,10 @@ def test_conflict_sets_reject_the_first_constant_column_by_name():
                             np.zeros(9)])
     with pytest.raises(ValueError) as info:
         conflict_sets(FeatureMatrix(names=("a", "b", "c", "d"), data=data), lambda_mc=5.0)
-    assert str(info.value) == "feature 'c' is constant; cannot standardize"
+    assert str(info.value) == "feature 'c' (column 3) is constant"
 
 
-def tenth_column_matrix() -> FeatureMatrix:
+def equal_valued_matrix() -> FeatureMatrix:
     # 1000 rows of 0.1 have an np.std of 1.4e-17, not 0: the column is
     # constant by its values, not by its computed spread
     rng = np.random.default_rng(5)
@@ -481,36 +484,46 @@ def tenth_column_matrix() -> FeatureMatrix:
     return FeatureMatrix(names=("a", "b", "c"), data=data)
 
 
-def test_equal_valued_column_with_nonzero_std_is_constant():
-    fm = tenth_column_matrix()
-    with pytest.raises(ValueError) as info:
-        pearson_matrix(fm)
-    assert str(info.value) == "feature 'b' (column 2) is constant"
-    with pytest.raises(ValueError) as info:
-        conflict_sets(fm, lambda_mc=5.0)
-    assert str(info.value) == "feature 'b' is constant; cannot standardize"
-    for j, regressors in ((2, [1, 3]), (1, [2, 3])):
-        with pytest.raises(ValueError) as info:
-            vif(fm, j, regressors)
-        assert str(info.value) == "feature 'b' is constant; cannot standardize"
-    with pytest.raises(ValueError, match="is constant"):
-        select_features(fm, 0.9, 5.0, method="greedy")
-
-
-def test_column_whose_variance_underflows_is_constant():
+def underflowing_matrix() -> FeatureMatrix:
     # the values differ, but their spread squares to 0: a zero divisor
     rng = np.random.default_rng(6)
     spread = np.zeros(50)
     spread[0] = 1e-200
     data = np.column_stack([rng.normal(size=50), spread, rng.normal(size=50)])
     assert np.std(data[:, 1]) == 0.0 and data[:, 1].max() != data[:, 1].min()
-    fm = FeatureMatrix(names=("a", "b", "c"), data=data)
-    with pytest.raises(ValueError, match="'b' \\(column 2\\) is constant"):
-        pearson_matrix(fm)
-    with pytest.raises(ValueError, match="'b' is constant; cannot standardize"):
-        conflict_sets(fm, lambda_mc=5.0)
-    with pytest.raises(ValueError, match="'b' is constant; cannot standardize"):
-        vif(fm, 2, [1, 3])
+    return FeatureMatrix(names=("a", "b", "c"), data=data)
+
+
+def select_through_cli(fm: FeatureMatrix, tmp_path, capsys) -> str:
+    lines = [",".join(fm.names)] + [",".join(map(repr, row)) for row in fm.data.tolist()]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    code = cli.main(["select", "--input", str(path), "--lambda-c", "0.9",
+                     "--lambda-mc", "5", "--method", "greedy"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    return err
+
+
+@pytest.mark.parametrize("entry", ["pearson_matrix", "conflict_sets", "vif-target",
+                                   "vif-regressor", "select_features", "cli-select"])
+@pytest.mark.parametrize("matrix", [equal_valued_matrix, underflowing_matrix],
+                         ids=["equal-valued", "underflowing"])
+def test_constant_column_message(matrix, entry, tmp_path, capsys):
+    fm = matrix()
+    message = "feature 'b' (column 2) is constant"
+    if entry == "cli-select":
+        assert select_through_cli(fm, tmp_path, capsys) == f"error: {message}\n"
+        return
+    call = {
+        "pearson_matrix": lambda: pearson_matrix(fm),
+        "conflict_sets": lambda: conflict_sets(fm, lambda_mc=5.0),
+        "vif-target": lambda: vif(fm, 2, [1, 3]),
+        "vif-regressor": lambda: vif(fm, 1, [2, 3]),
+        "select_features": lambda: select_features(fm, 0.9, 5.0, method="greedy"),
+    }[entry]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_conflict_sets_orthogonal_all_empty():

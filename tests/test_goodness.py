@@ -7,8 +7,8 @@ import pytest
 
 from niceset import (BudgetError, ConflictSpec, FractionTable, GoodnessSystem,
                      attempt_success_bound, brute_force_mutually_good,
-                     check_goodness_axioms, compute_p, compute_q,
-                     construction_success_bound, derive_seed, fraction_table,
+                     check_goodness_axioms, construction_success_bound,
+                     derive_seed, fraction_table,
                      good_set, graph_system, h_set, instance_system,
                      is_constrained, is_mutually_good, is_nice,
                      randomized_construct, sample_instance,
@@ -102,24 +102,26 @@ def test_h_set_examples(path_system, k4_system):
 # ------------------------------------------------------------------ fractions
 
 def test_compute_p_examples(path_system, k4_system):
-    assert compute_p(path_system, 1) == Fraction(1, 2)
-    assert compute_p(edgeless_system(5), 3) == 1
-    assert compute_p(k4_system, 1) == Fraction(1, 4)
+    # p_i, read from fraction_table
+    assert fraction_table(path_system, 1).p_at(1) == Fraction(1, 2)
+    assert fraction_table(edgeless_system(5), 3).p_at(3) == 1
+    assert fraction_table(k4_system, 1).p_at(1) == Fraction(1, 4)
 
 
 def test_compute_q_examples(path_system, k4_system):
-    assert compute_q(path_system, 1) == Fraction(1, 2)
-    assert compute_q(edgeless_system(5), 3) == 0
-    assert compute_q(k4_system, 1) == Fraction(3, 4)
+    # q_i, read from fraction_table
+    assert fraction_table(path_system, 1).q_at(1) == Fraction(1, 2)
+    assert fraction_table(edgeless_system(5), 3).q_at(3) == 0
+    assert fraction_table(k4_system, 1).q_at(1) == Fraction(3, 4)
 
 
 def test_fraction_bounds_validation(path_system):
     with pytest.raises(ValueError):
-        compute_p(path_system, 0)
+        fraction_table(path_system, 0)
     with pytest.raises(ValueError):
-        compute_q(path_system, 5)
+        fraction_table(path_system, 5)
     with pytest.raises(BudgetError):
-        compute_p(edgeless_system(10), 10, max_subsets=10)
+        fraction_table(edgeless_system(10), 10, max_subsets=10)
 
 
 def test_fraction_table_matches_pointwise_and_is_monotone():
@@ -128,8 +130,8 @@ def test_fraction_table_matches_pointwise_and_is_monotone():
         up_to = system.size - 1 if system.size > 1 else 1
         table = fraction_table(system, up_to)
         for i in range(1, up_to + 1):
-            assert table.p_at(i) == compute_p(system, i)
-            assert table.q_at(i) == compute_q(system, i)
+            shorter = fraction_table(system, i)
+            assert (table.p[:i], table.q[:i]) == (shorter.p, shorter.q)
         assert all(a >= b for a, b in zip(table.p, table.p[1:]))
         assert all(a <= b for a, b in zip(table.q, table.q[1:]))
 
@@ -142,7 +144,7 @@ def test_fraction_table_counts_the_empty_set_in_q():
                                     g=lambda x, chosen: 1 if (x == 1 and not chosen) else 0,
                                     values={0, 1}, accepting={0})
     assert h_set(system, set()) == frozenset({1})
-    assert compute_q(system, 1) == Fraction(1, 4)
+    assert fraction_table(system, 1).q_at(1) == Fraction(1, 4)
     table = fraction_table(system, 3)
     assert table.q == (Fraction(1, 4),) * 3
     assert table.p == (1, 1, 1)

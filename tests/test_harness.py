@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from niceset import (BudgetError, ConflictSpec, ExperimentConfig, Instance,
-                     binomial_deviation_tail, existence_violations,
-                     instance_system, run_chernoff_check, run_lemma_verification,
-                     run_lower_bound_experiment, run_upper_bound_experiment)
+                     binomial_deviation_tail, existence_violations, harness,
+                     instance_system, run_bound_experiment, run_chernoff_check,
+                     run_lemma_verification, solvers)
 from niceset.rng import derive_seed, generator
 
 
@@ -20,12 +20,12 @@ def test_config_validation():
         ExperimentConfig(m=10, p=0.5, solver="bogus")
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, p=1.0)
-    # any m runs the exact solver; only node_budget limits it
-    report = run_lower_bound_experiment(ExperimentConfig(m=61, p=0.5, trials=2, solver="exact"))
+    # any m runs the exact solver; only its node budget limits it
+    report = run_bound_experiment(ExperimentConfig(m=61, p=0.5, trials=2, solver="exact"))
     assert len(report.empirical) == 2 and min(report.empirical) >= 1
 
 
-@pytest.mark.parametrize("kwargs", [dict(m=10.0), dict(trials=2.5), dict(node_budget=2.5),
+@pytest.mark.parametrize("kwargs", [dict(m=10.0), dict(trials=2.5), dict(m=np.float64(10)),
                                     dict(trials="3")])
 def test_config_rejects_non_integers(kwargs):
     with pytest.raises(TypeError):
@@ -33,28 +33,27 @@ def test_config_rejects_non_integers(kwargs):
 
 
 def test_config_takes_integer_like_values_as_int():
-    cfg = ExperimentConfig(m=np.int64(10), p=0.5, trials=np.int32(2), node_budget=np.int64(9),
-                           seed=np.uint64(3))
-    assert (cfg.m, cfg.trials, cfg.node_budget, cfg.seed) == (10, 2, 9, 3)
-    assert all(type(v) is int for v in (cfg.m, cfg.trials, cfg.node_budget, cfg.seed))
+    cfg = ExperimentConfig(m=np.int64(10), p=0.5, trials=np.int32(2), seed=np.uint64(3))
+    assert (cfg.m, cfg.trials, cfg.seed) == (10, 2, 3)
+    assert all(type(v) is int for v in (cfg.m, cfg.trials, cfg.seed))
 
 
 def test_upper_experiment_report_invariants():
     cfg = ExperimentConfig(m=12, p=0.5, gamma=1.0, trials=25, seed=7,
                            conflicts=ConflictSpec.uniform(2))
-    report = run_upper_bound_experiment(cfg)
+    report = run_bound_experiment(cfg)
     assert len(report.empirical) == len(report.seeds) == 25
     assert 0.0 <= report.frac_exceed_upper <= 1.0
     assert 0.0 <= report.frac_below_lower <= 1.0
     assert all(s >= 1 for s in report.empirical)
     assert report.tau_estimate >= 2.0  # uniform-2 conflicts force max |T| >= 2
     assert report.claimed_upper_failure == pytest.approx(1 / 12)
-    assert run_upper_bound_experiment(cfg) == report  # deterministic
+    assert run_bound_experiment(cfg) == report  # deterministic
 
 
 def test_upper_experiment_near_complete_graph():
     cfg = ExperimentConfig(m=10, p=0.99, gamma=1.0, trials=50, seed=1)
-    report = run_upper_bound_experiment(cfg)
+    report = run_bound_experiment(cfg)
     assert report.threshold_upper >= 2
     assert max(report.empirical) <= 2
     assert report.frac_exceed_upper == 0.0
@@ -62,23 +61,23 @@ def test_upper_experiment_near_complete_graph():
 
 def test_lower_experiment_clamps_threshold():
     cfg = ExperimentConfig(m=40, p=0.5, delta=0.25, trials=20, seed=11)
-    report = run_lower_bound_experiment(cfg)
+    report = run_bound_experiment(cfg)
     assert report.threshold_lower == 1
     assert report.frac_below_lower == 0.0
     assert report.tau_estimate == 1.0  # empty-conflict fallback
 
 
-def test_budget_errors_carry_the_trial_index():
-    cfg = ExperimentConfig(m=20, p=0.5, trials=3, seed=2, node_budget=2)
-    with pytest.raises(BudgetError, match="trial 0"):
-        run_upper_bound_experiment(cfg)
-    with pytest.raises(ValueError):
-        ExperimentConfig(m=10, p=0.5, node_budget=0)
+def test_budget_errors_carry_the_trial_index(monkeypatch):
+    monkeypatch.setattr(harness, "max_nice_exact",
+                        lambda inst: solvers.max_nice_exact(inst, node_budget=2))
+    cfg = ExperimentConfig(m=20, p=0.5, trials=3, seed=2)
+    with pytest.raises(BudgetError, match="^trial 0: exact search exceeded node budget 2$"):
+        run_bound_experiment(cfg)
 
 
 def test_per_trial_seeds_do_not_depend_on_trial_count():
-    a = run_upper_bound_experiment(ExperimentConfig(m=10, p=0.4, trials=5, seed=3))
-    b = run_upper_bound_experiment(ExperimentConfig(m=10, p=0.4, trials=10, seed=3))
+    a = run_bound_experiment(ExperimentConfig(m=10, p=0.4, trials=5, seed=3))
+    b = run_bound_experiment(ExperimentConfig(m=10, p=0.4, trials=10, seed=3))
     assert a.seeds == b.seeds[:5]
     assert a.empirical == b.empirical[:5]
 

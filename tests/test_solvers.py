@@ -54,6 +54,19 @@ def test_exact_budget_error_carries_best_so_far():
         max_nice_exact(inst, node_budget=0)
 
 
+@pytest.mark.parametrize("budget", [2.5, 3.0])
+def test_exact_rejects_a_non_integer_budget(budget):
+    with pytest.raises(TypeError):
+        max_nice_exact(sample_instance(10, 0.5, seed=0), node_budget=budget)
+
+
+def test_exact_takes_an_integer_like_budget():
+    inst = sample_instance(30, 0.3, seed=5)
+    assert max_nice_exact(inst, node_budget=np.int64(10**6)) == max_nice_exact(inst)
+    with pytest.raises(BudgetError, match="node budget 3$"):
+        max_nice_exact(inst, node_budget=np.int64(3))
+
+
 def reference_recursive_exact(inst, node_budget=5_000_000):
     """The recursive search that preceded the explicit stack, one Python
     frame per search level, from the tie-list greedy start it used."""
