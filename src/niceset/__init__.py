@@ -27,7 +27,7 @@ from .harness import (BoundReport, ChernoffReport, ExperimentConfig, LemmaReport
                       run_lemma_verification)
 from .instance import ConflictSpec, Instance, NiceSetResult, is_nice, sample_instance
 from .rng import derive_seed
-from .solvers import greedy_nice, max_nice_exact, randomized_nice
+from .solvers import greedy_nice, max_nice_exact, randomized_nice, solve
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,6 @@ __all__ = [
     "load_csv", "lower_size_threshold", "max_nice_exact", "pearson_matrix",
     "randomized_construct", "randomized_nice", "run_bound_experiment",
     "run_chernoff_check", "run_lemma_verification", "sample_instance",
-    "select_features", "size_lower_bound", "size_upper_bound",
+    "select_features", "size_lower_bound", "size_upper_bound", "solve",
     "system_from_singletons", "upper_size_threshold", "vif",
 ]

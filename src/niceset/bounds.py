@@ -32,12 +32,13 @@ class BoundParams:
             raise ValueError("m must be at least 2")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly between 0 and 1")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        # negated tests, so that NaN fails them too
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-        if self.tau < 1.0:
-            raise ValueError("tau must be at least 1")
+        if not 1.0 <= self.tau < math.inf:
+            raise ValueError("tau must be at least 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ def upper_size_threshold(m: int, p: float, gamma: float) -> int:
     Uses the form with the additive 1, which is the threshold at which the
     exceedance probability ``m**-gamma`` is actually guaranteed.
     """
-    params = BoundParams(m=m, p=p, gamma=gamma)
-    return math.ceil(1.0 + (2.0 + params.gamma) * math.log(params.m) / _log_odds_rate(params.p))
+    return math.ceil(1.0 + size_upper_bound(BoundParams(m=m, p=p, gamma=gamma)).value)
 
 
 def lower_size_threshold(m: int, p: float, delta: float, tau: float) -> int:

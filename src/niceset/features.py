@@ -16,15 +16,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CsvError
 from .instance import Edge, Instance, is_nice
-from .solvers import greedy_nice, max_nice_exact, randomized_nice
+from .solvers import solve
 
 VIF_MAX = 1e12
 _RIDGE = 1e-10
@@ -200,24 +201,16 @@ def _constant_error(fm: FeatureMatrix, j: int) -> ValueError:
     return ValueError(f"feature {fm.names[j - 1]!r} (column {j}) is constant")
 
 
-def _standardize(fm: FeatureMatrix, j: int) -> np.ndarray:
-    column = fm.column(j)
-    sd = float(np.std(column))
-    if _constant(column, sd):
-        raise _constant_error(fm, j)
-    return (column - float(np.mean(column))) / sd
-
-
-def _standardized_columns(fm: FeatureMatrix) -> np.ndarray:
-    """All columns standardized at once, bit for bit as :func:`_standardize`
-    does each: Fortran order sums each column contiguously, as a 1-d
-    reduction does, and the result is returned in C order.  The first
-    constant column is rejected."""
-    columns = np.asfortranarray(fm.data)
+def _standardized_columns(fm: FeatureMatrix, features: Sequence[int]) -> np.ndarray:
+    """Features ``features`` (1-based) standardized, in C order.  Each column
+    is bit for bit what standardizing it alone gives: Fortran order sums
+    each column contiguously, as a 1-d reduction does.  The first constant
+    one, in the given order, is rejected."""
+    columns = np.asfortranarray(fm.data[:, [j - 1 for j in features]])
     sd = np.std(columns, axis=0)
     constant = np.flatnonzero(_constant(columns, sd))
     if constant.size:
-        raise _constant_error(fm, int(constant[0]) + 1)
+        raise _constant_error(fm, features[int(constant[0])])
     return np.ascontiguousarray((columns - np.mean(columns, axis=0)) / sd)
 
 
@@ -229,7 +222,7 @@ def pearson_matrix(fm: FeatureMatrix) -> np.ndarray:
     An entry within ``1e-14`` of +-1 is set to +-1: exactly dependent
     columns (a copy, a negation, an affine rescaling) compute a few ulps
     short of 1, and would otherwise miss an edge at ``lambda_c = 1``."""
-    design = _standardized_columns(fm)
+    design = _standardized_columns(fm, range(1, fm.m + 1))
     corr = design.T @ design / fm.n
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
@@ -252,30 +245,19 @@ def collinearity_graph(corr: np.ndarray, lambda_c: float) -> frozenset[Edge]:
     return frozenset(zip((rows[hit] + 1).tolist(), (cols[hit] + 1).tolist()))
 
 
-def _fit_standardized(fm: FeatureMatrix, j: int, regressors: tuple[int, ...]):
-    """Ridge-damped least squares of standardized column ``j`` on the
-    standardized regressors.  Returns ``(r_squared, coefficients)``.
-
-    Standardization absorbs the intercept; the tiny ridge keeps exactly
-    collinear designs solvable instead of crashing.  The residual-based R^2
-    lies in [0, 1] by construction.
-    """
-    target = _standardize(fm, j)
-    design = np.column_stack([_standardize(fm, r) for r in regressors])
-    n, k = design.shape
-    gram = design.T @ design / n
-    moment = design.T @ target / n
-    coef = np.linalg.solve(gram + _RIDGE * np.eye(k), moment)
-    residual = target - design @ coef
-    r2 = 1.0 - float(np.mean(residual ** 2))
-    return min(max(r2, 0.0), 1.0), coef
-
-
 def vif(fm: FeatureMatrix, j: int, regressors: Iterable[int]) -> float:
     """Variance inflation factor ``1 / (1 - R^2)`` of regressing feature
     ``j`` (with intercept) on the given regressor features, capped at
-    ``VIF_MAX`` once ``R^2 >= 1 - 1e-12``."""
-    regressors = tuple(sorted(set(int(r) for r in regressors)))
+    ``VIF_MAX`` once ``R^2 >= 1 - 1e-12``.
+
+    The fit is ridge-damped least squares of the standardized target on the
+    standardized regressors: standardization absorbs the intercept, and the
+    tiny ridge keeps exactly collinear designs solvable instead of crashing.
+    The residual-based R^2 is clipped to [0, 1].  Only the target and the
+    regressors are checked for a constant column, the target first.
+    """
+    j = operator.index(j)
+    regressors = tuple(sorted(set(map(operator.index, regressors))))
     if not regressors:
         raise ValueError("at least one regressor required")
     if not 1 <= j <= fm.m:
@@ -287,7 +269,16 @@ def vif(fm: FeatureMatrix, j: int, regressors: Iterable[int]) -> float:
         raise ValueError(f"feature {j} cannot regress on itself")
     if fm.n <= len(regressors) + 1:
         raise ValueError(f"need n > {len(regressors) + 1} observations, got {fm.n}")
-    r2, _ = _fit_standardized(fm, j, regressors)
+    # two calls: slicing one call's result in two changes the last bits of
+    # some results
+    target = _standardized_columns(fm, (j,))[:, 0]
+    design = _standardized_columns(fm, regressors)
+    n, k = design.shape
+    gram = design.T @ design / n
+    moment = design.T @ target / n
+    coef = np.linalg.solve(gram + _RIDGE * np.eye(k), moment)
+    residual = target - design @ coef
+    r2 = min(max(1.0 - float(np.mean(residual ** 2)), 0.0), 1.0)
     if r2 >= 1.0 - 1e-12:
         return VIF_MAX
     return min(1.0 / (1.0 - r2), VIF_MAX)
@@ -321,7 +312,7 @@ def conflict_sets(fm: FeatureMatrix, lambda_mc: float, k_top: int = 3) -> dict[i
 def _vif_screen(corr: np.ndarray, n: int, lambda_mc: float,
                 k_top: int) -> dict[int, frozenset[int]]:
     """:func:`conflict_sets` on the correlation matrix of ``n`` observations."""
-    if lambda_mc <= 1.0:
+    if not lambda_mc > 1.0:  # a NaN threshold fails too
         raise ValueError("lambda_mc must exceed 1")
     if k_top < 1:
         raise ValueError("k_top must be at least 1")
@@ -392,23 +383,17 @@ def build_instance(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,
 
 def select_features(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,
                     k_top: int = 3, method: str = "exact",
-                    seed: int | None = None) -> SelectionReport:
+                    seed: int = 0) -> SelectionReport:
     """Build the instance from the data and extract a nice feature subset.
 
     ``method`` is one of ``exact`` (branch and bound with the default node
     budget; raises :class:`BudgetError` when the budget runs out),
-    ``greedy``, or ``randomized``.  The result is re-verified with the
+    ``greedy``, or ``randomized`` (seeded with ``seed``), run through
+    :func:`~niceset.solvers.solve`.  The result is re-verified with the
     niceness predicate before reporting.
     """
     inst = build_instance(fm, lambda_c, lambda_mc, k_top)
-    if method == "exact":
-        result = max_nice_exact(inst)
-    elif method == "greedy":
-        result = greedy_nice(inst)
-    elif method == "randomized":
-        result = randomized_nice(inst, seed=seed if seed is not None else 0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    result = solve(inst, method, seed)
     witness = is_nice(result.vertices, inst)
     if not witness:
         raise RuntimeError("solver returned a non-nice set")

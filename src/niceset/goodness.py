@@ -198,13 +198,7 @@ class _MaskView:
     def h_mask(self, mask: int) -> int:
         got = self._h.get(mask)
         if got is None:
-            chosen = self.subset(mask)
-            accepted = self.system.accepting
-            got = 0
-            for i, x in enumerate(self.elements):
-                if self.system.g(x, chosen) not in accepted:
-                    got |= 1 << i
-            self._h[mask] = got
+            got = self._h[mask] = self.to_mask(h_set(self.system, self.subset(mask)))
         return got
 
     def constrained(self, mask: int) -> bool:

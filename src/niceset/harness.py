@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import (BoundParams, chernoff_bound, lower_size_threshold,
                      size_lower_bound, size_upper_bound, upper_size_threshold)
 from .errors import BudgetError
 from .goodness import (GoodnessSystem, brute_force_mutually_good, fraction_table,
                        instance_system)
-from .instance import METHODS, ConflictSpec, Instance, sample_instance
+from .instance import METHODS, ConflictSpec, sample_instance
 from .rng import derive_seed, generator
-from .solvers import greedy_nice, max_nice_exact, randomized_nice
+from .solvers import solve
 
 
 @dataclass(frozen=True)
@@ -71,33 +71,11 @@ class BoundReport:
     claimed_lower_failure: float
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m, "p": self.p, "gamma": self.gamma, "delta": self.delta,
-            "trials": self.trials, "solver": self.solver,
-            "master_seed": self.master_seed, "seeds": list(self.seeds),
-            "empirical": list(self.empirical),
-            "tau_estimate": self.tau_estimate, "tau_std": self.tau_std,
-            "threshold_upper": self.threshold_upper,
-            "threshold_lower": self.threshold_lower,
-            "frac_exceed_upper": self.frac_exceed_upper,
-            "frac_below_lower": self.frac_below_lower,
-            "stderr_exceed_upper": self.stderr_exceed_upper,
-            "stderr_below_lower": self.stderr_below_lower,
-            "claimed_upper_failure": self.claimed_upper_failure,
-            "claimed_lower_failure": self.claimed_lower_failure,
-        }
+        return asdict(self)
 
 
 def _binomial_stderr(fraction: float, trials: int) -> float:
     return math.sqrt(fraction * (1.0 - fraction) / trials)
-
-
-def _solve(inst: Instance, solver: str, seed: int) -> int:
-    if solver == "exact":
-        return max_nice_exact(inst).size
-    if solver == "greedy":
-        return greedy_nice(inst).size
-    return randomized_nice(inst, seed=seed).size
 
 
 def run_bound_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -113,7 +91,7 @@ def run_bound_experiment(cfg: ExperimentConfig) -> BoundReport:
         seeds.append(trial)
         inst = sample_instance(cfg.m, cfg.p, cfg.conflicts, seed=trial)
         try:
-            sizes.append(_solve(inst, cfg.solver, seed=trial))
+            sizes.append(solve(inst, cfg.solver, seed=trial).size)
         except BudgetError as exc:
             raise BudgetError(f"trial {t}: {exc}", best_size=exc.best_size,
                               best_vertices=exc.best_vertices) from exc
@@ -155,12 +133,7 @@ class LemmaReport:
     counterexamples: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count, "n_max": self.n_max, "seed": self.seed,
-            "systems_checked": self.systems_checked,
-            "conditions_fired": self.conditions_fired,
-            "counterexamples": [dict(c) for c in self.counterexamples],
-        }
+        return {**asdict(self), "counterexamples": [dict(c) for c in self.counterexamples]}
 
 
 def existence_violations(system: GoodnessSystem) -> tuple[list[dict], int]:
@@ -238,13 +211,7 @@ class ChernoffReport:
     consistent_with_exact: bool
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r, "p": self.p, "gamma": self.gamma, "trials": self.trials,
-            "seed": self.seed, "theta": self.theta, "deviation": self.deviation,
-            "empirical": self.empirical, "stderr": self.stderr, "bound": self.bound,
-            "exact_tail": self.exact_tail, "within_bound": self.within_bound,
-            "consistent_with_exact": self.consistent_with_exact,
-        }
+        return asdict(self)
 
 
 def binomial_deviation_tail(r: int, p: float, deviation: float) -> float:

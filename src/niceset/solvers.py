@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from .errors import BudgetError
-from .instance import Instance, NiceSetResult, adjacency_masks, is_nice
+from .instance import METHODS, Instance, NiceSetResult, adjacency_masks, is_nice
 from .rng import derive_seed, generator
 
 
@@ -151,3 +151,16 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
             return NiceSetResult(vertices=vertices, size=target,
                                  method="randomized", seed=seed)
     raise AssertionError("unreachable: singleton draws always succeed")
+
+
+def solve(inst: Instance, method: str, seed: int = 0) -> NiceSetResult:
+    """The nice set the solver named ``method`` finds: ``exact``
+    (:func:`max_nice_exact` with its default node budget), ``greedy``, or
+    ``randomized`` (seeded with ``seed``; the other two ignore it)."""
+    if method == "exact":
+        return max_nice_exact(inst)
+    if method == "greedy":
+        return greedy_nice(inst)
+    if method == "randomized":
+        return randomized_nice(inst, seed=seed)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

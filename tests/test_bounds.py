@@ -86,6 +86,10 @@ def test_chernoff_domain_errors():
     dict(m=100, p=0.5, delta=0.5),
     dict(m=100, p=0.5, delta=0.0),
     dict(m=100, p=0.5, tau=0.5),
+    dict(m=100, p=0.5, gamma=math.inf),
+    dict(m=100, p=0.5, gamma=math.nan),
+    dict(m=100, p=0.5, tau=math.inf),
+    dict(m=100, p=0.5, tau=math.nan),
 ])
 def test_bound_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -197,6 +197,27 @@ def test_domain_error_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--m", "10", "--p", "0.5", "--gamma", "inf"], "gamma must be positive and finite"),
+    (["bounds", "--m", "10", "--p", "0.5", "--gamma", "nan"], "gamma must be positive and finite"),
+    (["bounds", "--m", "10", "--p", "0.5", "--tau", "inf"], "tau must be at least 1 and finite"),
+    (["bounds", "--m", "10", "--p", "0.5", "--tau", "nan"], "tau must be at least 1 and finite"),
+    (["simulate-upper", "--m", "10", "--p", "0.5", "--gamma", "inf", "--trials", "2"],
+     "gamma must be positive and finite"),
+])
+def test_non_finite_bound_parameters_exit_one(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_select_nan_vif_threshold_exits_one(capsys, tmp_path):
+    rng = np.random.default_rng(4)
+    csv_path = write_csv(tmp_path, "data.csv", ["a", "b", "c"], rng.normal(size=(20, 3)))
+    code, out, err = run_cli(capsys, ["select", "--input", csv_path, "--lambda-c", "0.9",
+                                      "--lambda-mc", "nan", "--method", "greedy"])
+    assert (code, out, err) == (1, "", "error: lambda_mc must exceed 1\n")
+
+
 def test_budget_error_exits_two(capsys, tmp_path, monkeypatch):
     # three 5-cycles of correlated columns: x_i = z_i + z_{i+1} around each
     # cycle, so neighbours correlate near 0.5 and the rest near 0.  The
@@ -209,8 +230,8 @@ def test_budget_error_exits_two(capsys, tmp_path, monkeypatch):
             "--method", "exact"]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and "selected 6 of 15 features" in out
-    monkeypatch.setattr(features, "max_nice_exact",
-                        lambda inst: solvers.max_nice_exact(inst, node_budget=1))
+    exact = solvers.max_nice_exact
+    monkeypatch.setattr(solvers, "max_nice_exact", lambda inst: exact(inst, node_budget=1))
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == "error: exact search exceeded node budget 1\n"

@@ -11,8 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from niceset import (CsvError, FeatureMatrix, VIF_MAX, build_instance, cli,
                      collinearity_graph, conflict_sets, features, is_nice, load_csv,
                      pearson_matrix, select_features, vif)
-from niceset.features import (_COEF_FLOOR, _fit_standardized, _standardize,
-                              _standardized_columns)
+from niceset.features import _COEF_FLOOR, _RIDGE, _standardized_columns
 
 from .conftest import planted_block_matrix
 
@@ -394,6 +393,72 @@ def test_collinearity_graph_boundary_inclusive():
 
 # ------------------------------------------------------------------------ VIF
 
+def reference_standardize(fm: FeatureMatrix, j: int) -> np.ndarray:
+    """Reference: column ``j`` standardized on its own."""
+    column = fm.column(j)
+    sd = float(np.std(column))
+    if column.max() == column.min() or sd == 0.0:
+        raise ValueError(f"feature {fm.names[j - 1]!r} (column {j}) is constant")
+    return (column - float(np.mean(column))) / sd
+
+
+def reference_fit(fm: FeatureMatrix, j: int, regressors: tuple[int, ...]):
+    """Reference: ridge-damped least squares of standardized column ``j`` on
+    the regressors, each standardized on its own.  Returns
+    ``(r_squared, coefficients)``."""
+    target = reference_standardize(fm, j)
+    design = np.column_stack([reference_standardize(fm, r) for r in regressors])
+    n, k = design.shape
+    gram = design.T @ design / n
+    moment = design.T @ target / n
+    coef = np.linalg.solve(gram + _RIDGE * np.eye(k), moment)
+    residual = target - design @ coef
+    r2 = 1.0 - float(np.mean(residual ** 2))
+    return min(max(r2, 0.0), 1.0), coef
+
+
+def reference_vif(fm: FeatureMatrix, j: int, regressors) -> float:
+    r2, _ = reference_fit(fm, j, tuple(sorted(set(regressors))))
+    return VIF_MAX if r2 >= 1.0 - 1e-12 else min(1.0 / (1.0 - r2), VIF_MAX)
+
+
+def test_vif_matches_the_per_column_reference_bit_for_bit():
+    rng = np.random.default_rng(2056)
+    capped = 0
+    for _ in range(2100):
+        n, m = int(rng.integers(5, 60)), int(rng.integers(2, 8))
+        scale = 10.0 ** rng.uniform(-6, 6, size=m)
+        offset = rng.choice([0.0, 1.0, -1e3, 1e6, 1e9], size=m)
+        data = rng.normal(size=(n, m)) * scale + offset
+        if rng.random() < 0.3:  # an exactly collinear column: a copy, or affine in another
+            src, dst = rng.choice(m, size=2, replace=False)
+            data[:, dst] = data[:, src] * rng.choice([1.0, -1.0, 2.5]) + rng.choice([0.0, 3.0])
+        fm = FeatureMatrix(names=tuple(f"c{i}" for i in range(m)), data=data)
+        j = int(rng.integers(1, m + 1))
+        others = [r for r in range(1, m + 1) if r != j]
+        regressors = rng.choice(others, size=int(rng.integers(1, min(len(others), n - 2) + 1)),
+                                replace=False).tolist()
+        got, want = vif(fm, j, regressors), reference_vif(fm, j, regressors)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        capped += got == VIF_MAX
+    assert capped > 50  # the exactly collinear cases reach the cap
+
+
+def test_vif_ignores_a_constant_column_outside_the_fit():
+    fm = equal_valued_matrix()  # column 2 is constant
+    assert vif(fm, 1, [3]) == reference_vif(fm, 1, [3])
+    assert vif(fm, 3, [1]) >= 1.0
+
+
+def test_vif_rejects_non_integer_indices():
+    fm = FeatureMatrix(names=("a", "b", "c"), data=ORTHOGONAL)
+    with pytest.raises(TypeError):
+        vif(fm, 1, [2.7])
+    with pytest.raises(TypeError):
+        vif(fm, 1.5, [2])
+    assert vif(fm, np.int64(1), [np.int64(2)]) == vif(fm, 1, [2])
+
+
 def test_vif_orthogonal_is_one():
     fm = FeatureMatrix(names=("a", "b", "c"), data=ORTHOGONAL)
     for j in (1, 2, 3):
@@ -462,8 +527,9 @@ def test_standardized_columns_match_per_column_standardize(n):
     rng = np.random.default_rng(n)
     data = rng.normal(size=(n, 5)) * [1.0, 1e-3, 1e6, 0.1, 7.0] + [0.0, 5.0, -3e6, 0.1, 1e9]
     fm = FeatureMatrix(names=tuple("abcde"), data=data)
-    expected = np.column_stack([_standardize(fm, j) for j in range(1, 6)])
-    assert _standardized_columns(fm).tobytes() == expected.tobytes()
+    for features in (range(1, 6), (4, 2), (5,)):
+        expected = np.column_stack([reference_standardize(fm, j) for j in features])
+        assert _standardized_columns(fm, features).tobytes() == expected.tobytes()
 
 
 def test_conflict_sets_reject_the_first_constant_column_by_name():
@@ -569,6 +635,8 @@ def test_conflict_sets_validation():
     fm = FeatureMatrix(names=("a", "b", "c"), data=ORTHOGONAL)
     with pytest.raises(ValueError):
         conflict_sets(fm, lambda_mc=1.0)
+    with pytest.raises(ValueError, match="lambda_mc must exceed 1"):
+        conflict_sets(fm, float("nan"))
     with pytest.raises(ValueError):
         conflict_sets(fm, lambda_mc=5.0, k_top=0)
 
@@ -591,7 +659,7 @@ def reference_conflict_sets(fm: FeatureMatrix, lambda_mc: float,
     raw: dict[int, set[int]] = {v: set() for v in range(1, fm.m + 1)}
     for v in range(1, fm.m + 1):
         others = tuple(u for u in range(1, fm.m + 1) if u != v)
-        r2, coef = _fit_standardized(fm, v, others)
+        r2, coef = reference_fit(fm, v, others)
         factor = VIF_MAX if r2 >= 1.0 - 1e-12 else min(1.0 / (1.0 - r2), VIF_MAX)
         if factor > lambda_mc:
             magnitudes = np.abs(coef)

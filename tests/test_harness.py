@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from niceset import (BudgetError, ConflictSpec, ExperimentConfig, Instance,
-                     binomial_deviation_tail, existence_violations, harness,
+                     binomial_deviation_tail, existence_violations,
                      instance_system, run_bound_experiment, run_chernoff_check,
                      run_lemma_verification, solvers)
 from niceset.rng import derive_seed, generator
@@ -68,8 +68,8 @@ def test_lower_experiment_clamps_threshold():
 
 
 def test_budget_errors_carry_the_trial_index(monkeypatch):
-    monkeypatch.setattr(harness, "max_nice_exact",
-                        lambda inst: solvers.max_nice_exact(inst, node_budget=2))
+    exact = solvers.max_nice_exact
+    monkeypatch.setattr(solvers, "max_nice_exact", lambda inst: exact(inst, node_budget=2))
     cfg = ExperimentConfig(m=20, p=0.5, trials=3, seed=2)
     with pytest.raises(BudgetError, match="^trial 0: exact search exceeded node budget 2$"):
         run_bound_experiment(cfg)

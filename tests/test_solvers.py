@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 import niceset
 from niceset import (BudgetError, ConflictSpec, Instance, NiceSetResult, derive_seed,
                      goodness, greedy_nice, instance_system, is_nice, max_nice_exact,
-                     randomized_construct, randomized_nice, sample_instance, solvers)
+                     randomized_construct, randomized_nice, sample_instance, select_features,
+                     solve, solvers)
+from niceset.instance import METHODS
 
 from .conftest import enumerate_max_nice
 
@@ -297,6 +299,27 @@ def test_witness_check_rejects_non_nice_answer(monkeypatch, solve):
     monkeypatch.setattr(solvers, "is_nice", lambda s, inst: False)
     with pytest.raises(RuntimeError, match="non-nice"):
         solve(sample_instance(8, 0.3, seed=1))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_solve_dispatches_to_the_named_solver(method, seed):
+    direct = {"exact": max_nice_exact, "greedy": greedy_nice,
+              "randomized": lambda inst: randomized_nice(inst, seed=seed)}[method]
+    for trial in range(5):
+        inst = sample_instance(25, 0.2, ConflictSpec.uniform(1), seed=derive_seed(seed, trial))
+        assert solve(inst, method, seed) == direct(inst)
+
+
+def test_unknown_method_raises_the_same_error_from_solve_and_select():
+    message = "unknown method 'bogus'; expected one of ('exact', 'greedy', 'randomized')"
+    with pytest.raises(ValueError) as from_solve:
+        solve(Instance(3), "bogus")
+    fm = niceset.FeatureMatrix(names=("a", "b", "c"),
+                               data=np.random.default_rng(0).normal(size=(20, 3)))
+    with pytest.raises(ValueError) as from_select:
+        select_features(fm, lambda_c=0.9, lambda_mc=5.0, method="bogus")
+    assert str(from_solve.value) == str(from_select.value) == message
 
 
 _WITNESS_UNDER_O = textwrap.dedent("""
