@@ -10,6 +10,7 @@ sampler accepts it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -28,6 +29,7 @@ class BoundParams:
     tau: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "m", operator.index(self.m))
         if self.m < 2:
             raise ValueError("m must be at least 2")
         if not 0.0 < self.p < 1.0:
@@ -83,7 +85,7 @@ def chernoff_bound(theta_r: float, gamma: float) -> float:
     by at least ``theta_r * gamma``.  Requires ``0 < gamma <= 1/2``."""
     if not 0.0 < gamma <= 0.5:
         raise ValueError("gamma must lie in (0, 1/2]")
-    if theta_r <= 0.0:
+    if not theta_r > 0.0:  # negated, so that NaN fails it too
         raise ValueError("theta_r must be positive")
     return 2.0 * math.exp(-gamma * gamma * theta_r / 4.0)
 

@@ -10,6 +10,7 @@ runs.  Exit codes: 0 success, 1 domain or parse error, 2 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -105,6 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the derived instance as JSON")
     _common_flags(se)
     return parser
+
+
+# Parsing leaves no state in the parser, so one per process serves every
+# call; it is built on first use, not at import.
+_parser = functools.cache(build_parser)
 
 
 def _fmt(x: float) -> str:
@@ -212,7 +218,7 @@ def _cmd_select(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

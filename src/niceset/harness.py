@@ -233,6 +233,8 @@ def run_chernoff_check(r: int, bernoulli_p: float, gamma: float, trials: int,
     closed-form bound and with the exact binomial tail."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0.0 < bernoulli_p < 1.0:  # negated, so that NaN fails it too
+        raise ValueError("p must lie strictly between 0 and 1")
     theta = r * bernoulli_p
     bound = chernoff_bound(theta, gamma)  # validates gamma and theta
     deviation = theta * gamma

@@ -237,10 +237,15 @@ def sample_instance(m: int, p: float, spec: ConflictSpec | None = None,
 
     owners = np.arange(1, m + 1)
     picks = np.empty((m, 0), dtype=np.intp)
-    if spec.k:
-        # index i of the m-1 candidates other than v is vertex i+1 below v,
-        # i+2 from v on; an integer population draws the same stream as the
-        # array of those candidates
+    # index i of the m-1 candidates other than v is vertex i+1 below v, i+2
+    # from v on; an integer population draws the same stream as the array of
+    # those candidates
+    if spec.k == 1:
+        # choice(m - 1, 1, replace=False) is Floyd's algorithm with a single
+        # bounded (Lemire) draw on [0, m-1) and no shuffle, so one integers
+        # call gives the same picks from the same stream
+        picks = rng.integers(0, m - 1, size=(m, 1)) + 1
+    elif spec.k:
         picks = np.array([rng.choice(m - 1, size=spec.k, replace=False) for _ in owners]) + 1
     partners = np.where(picks < owners[:, None], picks, picks + 1)
     conflicts = np.column_stack((np.repeat(owners, spec.k), partners.ravel()))

@@ -137,14 +137,16 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
     if max_restarts < 1:
         raise ValueError("max_restarts must be at least 1")
     m, adjacency = inst.m, inst.adjacency
+    flat = adjacency.ravel()  # a view: the adjacency is C-contiguous
     for target in range(_clique_cover_bound((1 << m) - 1, adjacency_masks(adjacency)), 0, -1):
         draws = generator(derive_seed(seed, target)).integers(0, m, size=(max_restarts, target))
         ordered = np.sort(draws, axis=1)
         rows = draws[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
         if not len(rows):
             continue
-        # a distinct row is stable iff no pair of its vertices is adjacent
-        stable = ~adjacency[rows[:, :, None], rows[:, None, :]].any(axis=(1, 2))
+        # a distinct row is stable iff no pair of its vertices is adjacent;
+        # entry [u, v] of the adjacency is flat[u * m + v]
+        stable = ~flat[rows[:, :, None] * m + rows[:, None, :]].any(axis=(1, 2))
         if stable.any():
             vertices = frozenset((rows[stable.argmax()] + 1).tolist())
             _check_witness(vertices, inst)

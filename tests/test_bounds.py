@@ -76,6 +76,8 @@ def test_chernoff_domain_errors():
         chernoff_bound(100, 0.0)
     with pytest.raises(ValueError):
         chernoff_bound(0.0, 0.5)
+    with pytest.raises(ValueError, match="theta_r must be positive"):
+        chernoff_bound(math.nan, 0.5)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -94,6 +96,15 @@ def test_chernoff_domain_errors():
 def test_bound_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         BoundParams(**kwargs)
+
+
+def test_bound_params_rejects_non_integer_m():
+    # m goes through operator.index, as in ExperimentConfig: a TypeError,
+    # not a truncation or a late float-to-int conversion error
+    with pytest.raises(TypeError):
+        BoundParams(m=2.5, p=0.5)
+    with pytest.raises(TypeError):
+        upper_size_threshold(math.nan, 0.5, 1.0)
 
 
 @given(m=st.integers(2, 10**6), p=st.floats(0.01, 0.99),

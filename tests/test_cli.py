@@ -204,6 +204,8 @@ def test_domain_error_exits_one(capsys):
     (["bounds", "--m", "10", "--p", "0.5", "--tau", "nan"], "tau must be at least 1 and finite"),
     (["simulate-upper", "--m", "10", "--p", "0.5", "--gamma", "inf", "--trials", "2"],
      "gamma must be positive and finite"),
+    (["chernoff", "--r", "10", "--p", "1.5"], "p must lie strictly between 0 and 1"),
+    (["chernoff", "--r", "10", "--p", "nan"], "p must lie strictly between 0 and 1"),
 ])
 def test_non_finite_bound_parameters_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -312,6 +314,23 @@ def test_report_golden_digests(capsys, tmp_path, name):
     code, _, err = run_cli(capsys, argv + ["--json", str(out_path)])
     assert code == 0, err
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_shared_parser_survives_failed_runs(capsys, tmp_path):
+    # main parses with one parser per process: a usage error and a budget
+    # error must leave nothing in it that changes the next run's report
+    code, _, err = run_cli(capsys, ["simulate-upper", "--m", "10", "--p", "0.5",
+                                    "--solver", "bogus"])
+    assert code == 1 and "usage" in err.lower()
+    code, _, _ = run_cli(capsys, ["verify-lemma", "--count", "1", "--n-max", "40",
+                                  "--seed", "0"])
+    assert code == 2
+    argv, digest = GOLDEN_REPORTS["upper-randomized-uniform-k"]
+    for _ in range(2):
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, argv + ["--json", str(out_path)])
+        assert code == 0, err
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,7 @@
 """Experiment engine: determinism, report invariants, and the exact oracles."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, nan
 
 import numpy as np
 import pytest
@@ -158,3 +158,6 @@ def test_chernoff_check_report():
         run_chernoff_check(r=40, bernoulli_p=0.5, gamma=0.6, trials=100)
     with pytest.raises(ValueError):
         run_chernoff_check(r=40, bernoulli_p=0.5, gamma=0.5, trials=0)
+    for bad_p in (0.0, 1.0, 1.5, nan):
+        with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
+            run_chernoff_check(r=40, bernoulli_p=bad_p, gamma=0.5, trials=100)
