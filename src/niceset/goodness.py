@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -168,63 +168,13 @@ def h_set(system: GoodnessSystem, i_set: Iterable) -> frozenset:
                      if system.g(x, chosen) not in system.accepting)
 
 
-class _MaskView:
-    """Bitmask lens over a system for exhaustive enumeration.
-
-    Element ``universe[i]`` is bit ``i``.  Only ``h`` is memoized per subset
-    mask: :meth:`constrained` reads ``h`` of every one-smaller subset, so a
-    sweep asks for each ``h`` several times, but for ``f`` and
-    constrainedness about once per mask.
-    """
-
-    def __init__(self, system: GoodnessSystem):
-        self.system = system
-        self.elements = system.universe
-        self.index = {v: i for i, v in enumerate(self.elements)}
-        self._h: dict[int, int] = {}
-
-    def subset(self, mask: int) -> frozenset:
-        return frozenset(v for i, v in enumerate(self.elements) if mask >> i & 1)
-
-    def to_mask(self, s: Iterable) -> int:
-        mask = 0
-        for v in s:
-            mask |= 1 << self.index[v]
-        return mask
-
-    def f_mask(self, mask: int) -> int:
-        return self.to_mask(self.system.f(self.subset(mask)))
-
-    def h_mask(self, mask: int) -> int:
-        got = self._h.get(mask)
-        if got is None:
-            got = self._h[mask] = self.to_mask(h_set(self.system, self.subset(mask)))
-        return got
-
-    def constrained(self, mask: int) -> bool:
-        return all(not (self.h_mask(mask & ~(1 << i)) >> i & 1)
-                   for i in range(len(self.elements)) if mask >> i & 1)
-
-
-def _enumeration_size(n: int, i: int) -> int:
-    return sum(math.comb(n, j) for j in range(i + 1))
-
-
-def _sweep_constrained(view: _MaskView, up_to: int, max_subsets: int):
-    """Yield ``(size, mask)`` for every B-constrained subset of size <= up_to."""
-    n = len(view.elements)
-    if _enumeration_size(n, up_to) > max_subsets:
-        raise BudgetError(
-            f"enumerating subsets of size <= {up_to} over {n} elements "
-            f"exceeds the budget of {max_subsets}")
-    yield 0, 0
-    for size in range(1, up_to + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if view.constrained(mask):
-                yield size, mask
+def _constrained_sets(system: GoodnessSystem, size: int):
+    """Yield the B-constrained subsets of ``size`` elements, in
+    :func:`itertools.combinations` order over the universe."""
+    for combo in combinations(system.universe, size):
+        candidate = frozenset(combo)
+        if is_constrained(system, candidate):
+            yield candidate
 
 
 @dataclass(frozen=True)
@@ -267,16 +217,21 @@ def fraction_table(system: GoodnessSystem, up_to: int,
     """
     if not 1 <= up_to <= system.size:
         raise ValueError(f"index must lie in 1..{system.size}, got {up_to}")
-    view = _MaskView(system)
     n = system.size
-    min_f = [Fraction(1)] * (up_to + 1)
-    max_h = [Fraction(0)] * (up_to + 1)
-    for size, mask in _sweep_constrained(view, up_to, max_subsets):
-        min_f[size] = min(min_f[size], Fraction(view.f_mask(mask).bit_count(), n))
-        max_h[size] = max(max_h[size], Fraction(view.h_mask(mask).bit_count(), n))
+    if sum(math.comb(n, j) for j in range(up_to + 1)) > max_subsets:
+        raise BudgetError(
+            f"enumerating subsets of size <= {up_to} over {n} elements "
+            f"exceeds the budget of {max_subsets}")
     # Running extrema from size 0 on, so f(empty) and h(empty) count at every i.
-    return FractionTable(p=tuple(accumulate(min_f, min))[1:],
-                         q=tuple(accumulate(max_h, max))[1:])
+    fewest_good, most_rejected = n, 0
+    p, q = [], []
+    for size in range(up_to + 1):
+        for s in _constrained_sets(system, size):
+            fewest_good = min(fewest_good, len(system.f(s)))
+            most_rejected = max(most_rejected, len(h_set(system, s)))
+        p.append(Fraction(fewest_good, n))
+        q.append(Fraction(most_rejected, n))
+    return FractionTable(p=tuple(p[1:]), q=tuple(q[1:]))
 
 
 def construction_success_bound(table: FractionTable, L: int) -> Fraction:
@@ -352,11 +307,8 @@ def brute_force_mutually_good(system: GoodnessSystem, L: int,
         raise ValueError("L must lie in 0..N")
     if math.comb(system.size, L) > max_subsets:
         raise BudgetError(f"C({system.size}, {L}) exceeds the budget of {max_subsets}")
-    for combo in combinations(system.universe, L):
-        candidate = frozenset(combo)
-        if is_mutually_good(system, candidate) and is_constrained(system, candidate):
-            return candidate
-    return None
+    return next((s for s in _constrained_sets(system, L) if is_mutually_good(system, s)),
+                None)
 
 
 @dataclass(frozen=True)
@@ -393,13 +345,20 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = system.size
-    view = _MaskView(system)
+    elements = system.universe  # elements[i] is bit i of a mask
+    index = {v: i for i, v in enumerate(elements)}
     total = 1 << n
+
+    def subset(mask: int) -> frozenset:
+        return frozenset(v for i, v in enumerate(elements) if mask >> i & 1)
+
+    def f_mask(mask: int) -> int:
+        return sum(1 << index[v] for v in system.f(subset(mask)))
 
     if mode == "exhaustive":
         if n > 12:
             raise ValueError("exhaustive mode requires N <= 12")
-        f = np.array([view.f_mask(mask) for mask in range(total)], dtype=np.int64)
+        f = np.array([f_mask(mask) for mask in range(total)], dtype=np.int64)
         all_masks = np.arange(total, dtype=np.int64)
         not_f = ~f
         violations: list[AxiomViolation] = []
@@ -414,11 +373,11 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
             # intersection: f[a | b] == f[a] & f[b]
             bad_int = np.nonzero(f[a | rest] != (f[a] & f[a:]))[0]
             for idx in bad_sym:
-                violations.append(AxiomViolation("symmetry", view.subset(a),
-                                                 view.subset(int(rest[idx]))))
+                violations.append(AxiomViolation("symmetry", subset(a),
+                                                 subset(int(rest[idx]))))
             for idx in bad_int:
-                violations.append(AxiomViolation("intersection", view.subset(a),
-                                                 view.subset(int(rest[idx]))))
+                violations.append(AxiomViolation("intersection", subset(a),
+                                                 subset(int(rest[idx]))))
             if len(violations) > _MAX_RECORDED_VIOLATIONS:
                 return AxiomReport(checked_pairs=checked,
                                    violations=tuple(violations[:_MAX_RECORDED_VIOLATIONS]),
@@ -430,11 +389,11 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
     for _ in range(samples):
         a = int(rng.integers(0, total))
         b = int(rng.integers(0, total))
-        fa, fb = view.f_mask(a), view.f_mask(b)
+        fa, fb = f_mask(a), f_mask(b)
         if ((a & ~fb) == 0) != ((b & ~fa) == 0):
-            violations.append(AxiomViolation("symmetry", view.subset(a), view.subset(b)))
-        if view.f_mask(a | b) != fa & fb:
-            violations.append(AxiomViolation("intersection", view.subset(a), view.subset(b)))
+            violations.append(AxiomViolation("symmetry", subset(a), subset(b)))
+        if f_mask(a | b) != fa & fb:
+            violations.append(AxiomViolation("intersection", subset(a), subset(b)))
         if len(violations) > _MAX_RECORDED_VIOLATIONS:
             return AxiomReport(checked_pairs=samples,
                                violations=tuple(violations[:_MAX_RECORDED_VIOLATIONS]),

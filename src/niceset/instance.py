@@ -222,6 +222,7 @@ def sample_instance(m: int, p: float, spec: ConflictSpec | None = None,
     vertex, and the family is symmetrized by union.  Identical
     ``(m, p, spec, seed)`` yield bit-identical instances.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 0.0 <= p <= 1.0:

@@ -206,6 +206,8 @@ def test_domain_error_exits_one(capsys):
      "gamma must be positive and finite"),
     (["chernoff", "--r", "10", "--p", "1.5"], "p must lie strictly between 0 and 1"),
     (["chernoff", "--r", "10", "--p", "nan"], "p must lie strictly between 0 and 1"),
+    (["chernoff", "--r", "0", "--p", "0.5"], "r must be at least 1"),
+    (["chernoff", "--r", "-3", "--p", "0.5"], "r must be at least 1"),
 ])
 def test_non_finite_bound_parameters_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -298,6 +300,9 @@ GOLDEN_REPORTS = {
     "verify-lemma": (
         ["verify-lemma", "--count", "25", "--n-max", "6", "--seed", "3"],
         "fe9432119f4a6dcebd2165ff27bca7bfa3bed486dbcb00a11ed66643675bbf64"),
+    "verify-lemma-n13": (
+        ["verify-lemma", "--count", "40", "--n-max", "13", "--seed", "5"],
+        "84f23f3d73bff4819c478b087f6b13f5223175d8c379d4816c90e32c86b376ac"),
     "chernoff": (
         ["chernoff", "--r", "40", "--p", "0.3", "--trials", "2000", "--seed", "4"],
         "3325a2bc356d20acef227b8210eae0c66a5c264045f5d88f21577be291425289"),

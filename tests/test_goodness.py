@@ -273,6 +273,69 @@ def test_brute_force_examples(path_system, k4_system):
         brute_force_mutually_good(edgeless_system(20), 10, max_subsets=100)
 
 
+def table_driven_system(seed, n):
+    """Symmetric random goodness with a constraint read from a seeded table
+    over every ``(x, I)``: ``g`` is neither hereditary nor empty on ``I = {}``."""
+    rng = generator(seed)
+    universe = tuple(range(1, n + 1))
+    good = {v: {v} for v in universe}
+    for u, v in itertools.combinations(universe, 2):
+        if rng.random() < 0.7:
+            good[u].add(v)
+            good[v].add(u)
+    table = {(x, frozenset(chosen)): int(rng.integers(0, 3))
+             for size in range(n + 1) for chosen in itertools.combinations(universe, size)
+             for x in universe}
+    accepting = {0, 1} if seed % 2 else {0}
+    return system_from_singletons(universe, good, lambda x, chosen: table[x, chosen],
+                                  values={0, 1, 2}, accepting=accepting)
+
+
+def reference_enumeration(system):
+    """``p_i``/``q_i`` for ``i = 1..N`` and the lexicographically first mutually
+    good constrained set of each size, from the definitions over all ``2**N``
+    subsets."""
+    universe, n = system.universe, system.size
+    fewest_good, most_rejected, first = [n] * (n + 1), [0] * (n + 1), [None] * (n + 1)
+    for mask in range(1 << n):
+        positions = tuple(i for i in range(n) if mask >> i & 1)
+        s = frozenset(universe[i] for i in positions)
+        if not all(system.g(y, s - {y}) in system.accepting for y in s):
+            continue
+        k = len(s)
+        fewest_good[k] = min(fewest_good[k], len(system.f(s)))
+        most_rejected[k] = max(most_rejected[k],
+                               sum(system.g(x, s) not in system.accepting for x in universe))
+        if mutually_good_by_definition(system, s) and (first[k] is None
+                                                        or positions < first[k][0]):
+            first[k] = (positions, s)
+    p = tuple(Fraction(min(fewest_good[:i + 1]), n) for i in range(1, n + 1))
+    q = tuple(Fraction(max(most_rejected[:i + 1]), n) for i in range(1, n + 1))
+    return p, q, [found and found[1] for found in first]
+
+
+def test_enumerations_match_the_definitions():
+    empty_h = 0
+    for seed in range(102):
+        rng = generator(derive_seed(707, seed))
+        n = int(rng.integers(1, 10))
+        kind = seed % 3
+        if kind == 0:
+            system, _ = random_instance_system(derive_seed(707, seed, 1), n_max=9)
+        elif kind == 1:
+            inst = sample_instance(n, float(rng.uniform(0.1, 0.9)), seed=derive_seed(707, seed, 2))
+            system = graph_system(edge_adjacency(inst))
+        else:
+            system = table_driven_system(derive_seed(707, seed, 3), n)
+            empty_h += bool(h_set(system, set()))
+        p, q, first = reference_enumeration(system)
+        table = fraction_table(system, system.size)
+        assert (table.p, table.q) == (p, q), seed
+        for L in range(system.size + 1):
+            assert brute_force_mutually_good(system, L) == first[L], (seed, L)
+    assert empty_h > 10  # the table-driven systems do reject elements at I = {}
+
+
 # --------------------------------------------------------------- axiom checks
 
 def test_axiom_check_clean_on_graph_systems():

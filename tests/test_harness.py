@@ -161,3 +161,8 @@ def test_chernoff_check_report():
     for bad_p in (0.0, 1.0, 1.5, nan):
         with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
             run_chernoff_check(r=40, bernoulli_p=bad_p, gamma=0.5, trials=100)
+    for bad_r in (0, -3):
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            run_chernoff_check(r=bad_r, bernoulli_p=0.5, gamma=0.5, trials=100)
+    with pytest.raises(TypeError):
+        run_chernoff_check(r=2.5, bernoulli_p=0.5, gamma=0.5, trials=100)

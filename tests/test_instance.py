@@ -50,6 +50,9 @@ def test_sample_rejects_bad_arguments():
         sample_instance(5, 1.5)
     with pytest.raises(ValueError):
         sample_instance(5, 0.5, ConflictSpec.uniform(5))  # k > m-1
+    for bad_m in (2.5, float("nan")):
+        with pytest.raises(TypeError):  # operator.index, not numpy, rejects it
+            sample_instance(bad_m, 0.5)
 
 
 @settings(max_examples=40, deadline=None)
