@@ -85,37 +85,49 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
     rejected, not imputed.  A ``delimiter`` that is not one character
     raises ``ValueError`` before the file is opened.
 
-    The ``csv`` module reads the header and numpy's C reader the body,
-    converting each cell with the routine Python's ``float`` uses on ASCII
-    text.  A body numpy rejects or might read otherwise (quotes,
-    ``1_000``, non-ASCII digits, a line over the ``csv`` field size limit,
-    a ragged or short body, a non-finite value) is read again by the
-    ``csv`` module with every cell parsed by ``float``.  That reader alone
-    reports errors, naming the first bad record and cell in file order.
+    The file is read and decoded once, before any parsing, so pipes and
+    FIFOs work.  One ``csv`` reader over its lines reads the header and
+    numpy's C reader the lines after it, converting each cell with the
+    routine Python's ``float`` uses on ASCII text.  A body numpy rejects or
+    might read otherwise (quotes, ``1_000``, non-ASCII digits, a line over
+    the ``csv`` field size limit, a ragged or short body, a non-finite
+    value) is read on by the same ``csv`` reader with every cell parsed by
+    ``float``.  That reader alone reports errors, naming the first bad
+    record and cell in file order.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
-    fm = _load_with_numpy(path, delimiter, has_header)
-    return _load_with_csv(path, delimiter, has_header) if fm is None else fm
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise CsvError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    reader = csv.reader(lines, delimiter=delimiter)
+    # non-empty records with their 1-based numbers, blank records counted
+    records = ((number, record) for number, record in enumerate(reader, start=1) if record)
+    try:
+        header = next(records, None) if has_header else None
+        names = None if header is None else tuple(cell.strip() for cell in header[1])
+        data = _numpy_body(lines[reader.line_num:], delimiter, names)
+        if data is None:
+            data = _csv_body(path, records, names)
+    except csv.Error as exc:
+        raise CsvError(f"{path}: line {reader.line_num}: {exc}") from None
+    if names is None:
+        names = tuple(f"f{j}" for j in range(1, data.shape[1] + 1))
+    return FeatureMatrix(names=names, data=data)
 
 
 _BLANK_LINES = ("\n", "\r\n", "\r")  # lines the csv module reads as empty records
 
 
-def _load_with_numpy(path, delimiter: str, has_header: bool) -> FeatureMatrix | None:
-    """The CSV read by numpy's C reader, or ``None`` when the ``csv`` reader
-    must decide.  Lines come from a handle opened as the ``csv`` reader opens
-    it (never from the path, from which numpy would also decompress), so
-    both split the body at the same line ends."""
+def _numpy_body(lines: list[str], delimiter: str,
+                names: tuple[str, ...] | None) -> np.ndarray | None:
+    """The body ``lines`` read by numpy's C reader, or ``None`` when the
+    ``csv`` reader must decide."""
     if delimiter in "\r\n":
         return None  # numpy cannot split a line on a line end
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            header = (next(filter(None, csv.reader(handle, delimiter=delimiter)), None)
-                      if has_header else None)
-            lines = [line for line in handle if line not in _BLANK_LINES]
-        except (csv.Error, UnicodeDecodeError):
-            return None
+    lines = [line for line in lines if line not in _BLANK_LINES]
     # three lines at least also keep numpy from warning about an empty body
     if len(lines) < 3 or max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -123,36 +135,18 @@ def _load_with_numpy(path, delimiter: str, has_header: bool) -> FeatureMatrix | 
         data = np.loadtxt(lines, delimiter=delimiter, comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
-    width = data.shape[1]
-    names = (tuple(f"f{j}" for j in range(1, width + 1)) if header is None
-             else tuple(cell.strip() for cell in header))
-    if len(names) != width or not np.isfinite(data).all():
+    if (names is not None and len(names) != data.shape[1]) or not np.isfinite(data).all():
         return None
-    return FeatureMatrix(names=names, data=data)
+    return data
 
 
-def _load_with_csv(path, delimiter: str, has_header: bool) -> FeatureMatrix:
-    """The CSV read by the ``csv`` module with every cell parsed by ``float``
-    in one pass; a rejected body is walked again for the first bad cell."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            records = [(number, record) for number, record in enumerate(reader, start=1)
-                       if record]
-        except csv.Error as exc:
-            raise CsvError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise CsvError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    if not records:
-        raise CsvError(f"{path}: empty file")
-    names: list[str] | None = None
-    if has_header:
-        names = [cell.strip() for cell in records[0][1]]
-        body = records[1:]
-    else:
-        body = records
+def _csv_body(path, records, names: tuple[str, ...] | None) -> np.ndarray:
+    """The rest of ``records`` read as the body, every cell parsed by
+    ``float`` in one pass; a rejected body is walked again for the first bad
+    cell."""
+    body = list(records)
     if not body:
-        raise CsvError(f"{path}: no data rows")
+        raise CsvError(f"{path}: " + ("empty file" if names is None else "no data rows"))
     width = len(body[0][1]) if names is None else len(names)
     good = next((i for i, (_, record) in enumerate(body) if len(record) != width), len(body))
     cells = chain.from_iterable(record for _, record in body[:good])
@@ -164,12 +158,10 @@ def _load_with_csv(path, delimiter: str, has_header: bool) -> FeatureMatrix:
         raise _first_cell_error(path, body, names, width)
     if len(body) < 3:
         raise CsvError(f"{path}: need at least 3 data rows, got {len(body)}")
-    if names is None:
-        names = [f"f{j}" for j in range(1, width + 1)]
-    return FeatureMatrix(names=tuple(names), data=data.reshape(len(body), width))
+    return data.reshape(len(body), width)
 
 
-def _first_cell_error(path, body, names: list[str] | None, width: int) -> CsvError:
+def _first_cell_error(path, body, names: tuple[str, ...] | None, width: int) -> CsvError:
     """The error for the first bad record or cell of a rejected CSV body, in
     file order: a ragged record, else a cell ``float`` rejects, else a
     non-finite value."""

@@ -27,6 +27,7 @@ uniform sampling and :func:`brute_force_mutually_good` by exhaustive search.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -215,6 +216,7 @@ def fraction_table(system: GoodnessSystem, up_to: int,
     ``|h(I)| / N`` over all B-constrained sets ``I`` with ``|I| <= i``, the
     empty set included.
     """
+    up_to = operator.index(up_to)
     if not 1 <= up_to <= system.size:
         raise ValueError(f"index must lie in 1..{system.size}, got {up_to}")
     n = system.size
@@ -286,6 +288,7 @@ def randomized_construct(system: GoodnessSystem, L: int, max_restarts: int,
     attempt.  Returns the first success, else ``None``.  Deterministic under
     ``seed``.
     """
+    L, max_restarts = operator.index(L), operator.index(max_restarts)
     if not 1 <= L <= system.size:
         raise ValueError("L must lie in 1..N")
     if max_restarts < 1:
@@ -303,6 +306,7 @@ def brute_force_mutually_good(system: GoodnessSystem, L: int,
                               max_subsets: int = 2_000_000) -> frozenset | None:
     """First mutually good B-constrained set of cardinality exactly ``L`` in
     lexicographic universe order, or ``None`` if none exists."""
+    L = operator.index(L)
     if not 0 <= L <= system.size:
         raise ValueError("L must lie in 0..N")
     if math.comb(system.size, L) > max_subsets:
@@ -342,6 +346,7 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
     ``mode="sampled"`` checks ``samples`` uniformly drawn pairs.  The report
     lists violating pairs, truncated after the first 50.
     """
+    samples = operator.index(samples)
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = system.size

@@ -231,7 +231,7 @@ def run_chernoff_check(r: int, bernoulli_p: float, gamma: float, trials: int,
     """Simulate ``trials`` Bernoulli sums of length ``r`` and compare the
     frequency of relative deviations of at least ``gamma`` with the
     closed-form bound and with the exact binomial tail."""
-    r = operator.index(r)
+    r, trials = operator.index(r), operator.index(trials)
     if r < 1:
         raise ValueError("r must be at least 1")
     if trials < 1:

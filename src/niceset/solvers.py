@@ -134,6 +134,7 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
     system.  ``L = 1`` always succeeds, so a set is always returned.
     Deterministic under ``seed``.
     """
+    max_restarts = operator.index(max_restarts)
     if max_restarts < 1:
         raise ValueError("max_restarts must be at least 1")
     m, adjacency = inst.m, inst.adjacency

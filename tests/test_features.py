@@ -1,7 +1,10 @@
 """CSV ingestion, correlations, VIF, conflict sets, and end-to-end selection."""
 
+import contextlib
 import csv
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -204,7 +207,7 @@ def test_clean_numeric_csv_never_reaches_the_csv_reader(tmp_path, monkeypatch, t
     def csv_reader(*args):
         raise AssertionError("the csv reader ran on a clean numeric CSV")
 
-    monkeypatch.setattr(features, "_load_with_csv", csv_reader)
+    monkeypatch.setattr(features, "_csv_body", csv_reader)
     assert outcome(load_csv, path, delimiter=delimiter, has_header=has_header) == expected
 
 
@@ -271,6 +274,80 @@ def test_load_csv_reports_the_first_bad_cell_in_file_order(tmp_path, text, recor
     assert str(info.value) == f"{path}: {message}"
     assert (info.value.record, info.value.column) == (record, column)
     assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+
+
+@contextlib.contextmanager
+def fifo(tmp_path, data: bytes):
+    """A FIFO in ``tmp_path`` that a writer thread fills with ``data``: input
+    that can be read once and cannot be sought, like a shell pipe."""
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def feed():
+        with open(path, "wb") as pipe:
+            pipe.write(data)
+        # a reader that opens the FIFO again reads end of file at once, as
+        # from a drained pipe, instead of waiting for a writer forever
+        while not done.wait(0.01):
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has it open
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        done.set()
+        writer.join(timeout=10)
+    assert not writer.is_alive(), "the reader never opened the FIFO"
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+
+
+@needs_fifo
+@pytest.mark.parametrize("text, has_header", [
+    ('"a","b"\n"1","2"\n"3","5"\n"4","4"\n', True),   # read by the csv module
+    ("a,b\n1,2\n\n3,5\n4,4\n", True),                 # read by numpy
+    ('"1";"2"\r\n3;5\r\n"1_0";4\r\n', False),
+])
+def test_load_csv_reads_a_fifo_as_a_regular_file(tmp_path, text, has_header):
+    delimiter = ";" if ";" in text else ","
+    kwargs = dict(delimiter=delimiter, has_header=has_header)
+    regular = write(tmp_path, text)
+    expected = outcome(load_csv, regular, **kwargs)
+    assert expected == outcome(reference_load_csv, regular, **kwargs)
+    with fifo(tmp_path, text.encode()) as path:
+        assert outcome(load_csv, path, **kwargs) == expected
+
+
+@needs_fifo
+def test_load_csv_names_the_bad_cell_of_a_fifo(tmp_path):
+    with fifo(tmp_path, b'"a","b"\n"1","2"\n"3","x"\n"4","5"\n') as path:
+        with pytest.raises(CsvError) as info:
+            load_csv(path)
+    assert str(info.value) == f"{path}: record 3, column 'b': not a number: 'x'"
+    assert (info.value.record, info.value.column) == (3, "b")
+
+
+@pytest.mark.parametrize("source", ["file", pytest.param("fifo", marks=needs_fifo)])
+def test_load_csv_reports_text_that_is_not_utf8_before_any_csv_error(tmp_path, source):
+    # the over-limit field comes first, and the byte that is not UTF-8 lies
+    # more than one 8 KiB decode chunk after it
+    data = (b"a,b\n1,2\n" + b"1" * (csv.field_size_limit() + 10) + b",2\n"
+            + b"3,4\n" * 4000 + b"5,\xe96\n")
+    if source == "file":
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        context = contextlib.nullcontext(path)
+    else:
+        context = fifo(tmp_path, data)
+    with context as path, pytest.raises(CsvError, match="not UTF-8 text") as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text")
 
 
 def test_feature_matrix_validation():

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import nan
 
 import pytest
 
@@ -122,6 +123,9 @@ def test_fraction_bounds_validation(path_system):
         fraction_table(path_system, 5)
     with pytest.raises(BudgetError):
         fraction_table(edgeless_system(10), 10, max_subsets=10)
+    for bad in (2.5, nan):
+        with pytest.raises(TypeError):
+            fraction_table(path_system, bad)
 
 
 def test_fraction_table_matches_pointwise_and_is_monotone():
@@ -230,6 +234,11 @@ def test_randomized_construct_validation(path_system):
         randomized_construct(path_system, 5, max_restarts=10)
     with pytest.raises(ValueError):
         randomized_construct(path_system, 2, max_restarts=0)
+    for bad in (2.5, nan):
+        with pytest.raises(TypeError):
+            randomized_construct(path_system, bad, max_restarts=10)
+        with pytest.raises(TypeError):
+            randomized_construct(path_system, 2, max_restarts=bad)
 
 
 def test_path_attempt_rate_matches_enumeration(path_system):
@@ -271,6 +280,9 @@ def test_brute_force_examples(path_system, k4_system):
     assert found in ({frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 4})})
     with pytest.raises(BudgetError):
         brute_force_mutually_good(edgeless_system(20), 10, max_subsets=100)
+    for bad in (2.5, nan):
+        with pytest.raises(TypeError):
+            brute_force_mutually_good(path_system, bad)
 
 
 def table_driven_system(seed, n):
@@ -377,6 +389,10 @@ def test_axiom_check_sampled_mode_and_validation(path_system):
     with pytest.raises(ValueError):
         check_goodness_axioms(big, mode="exhaustive")
     assert check_goodness_axioms(big, mode="sampled", samples=200, seed=0).ok
+    for mode in ("exhaustive", "sampled"):
+        for bad in (2.5, nan):
+            with pytest.raises(TypeError):
+                check_goodness_axioms(path_system, mode=mode, samples=bad)
 
 
 def test_intersection_identity_from_singletons():

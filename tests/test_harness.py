@@ -166,3 +166,6 @@ def test_chernoff_check_report():
             run_chernoff_check(r=bad_r, bernoulli_p=0.5, gamma=0.5, trials=100)
     with pytest.raises(TypeError):
         run_chernoff_check(r=2.5, bernoulli_p=0.5, gamma=0.5, trials=100)
+    for bad_trials in (2.5, nan):  # refused at entry, not inside numpy's binomial
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            run_chernoff_check(r=40, bernoulli_p=0.5, gamma=0.5, trials=bad_trials)

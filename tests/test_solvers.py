@@ -197,6 +197,9 @@ def test_randomized_rejects_non_positive_restarts():
         randomized_nice(Instance(3), max_restarts=0)
     with pytest.raises(ValueError, match="max_restarts"):
         randomized_nice(complete_instance(3), max_restarts=-2)
+    for bad in (2.5, float("nan")):
+        with pytest.raises(TypeError):
+            randomized_nice(Instance(3), max_restarts=bad)
 
 
 def reference_randomized_scan(inst, max_restarts, seed):
