@@ -222,9 +222,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            parser.print_usage(sys.stderr)
-            print("error: a subcommand is required", file=sys.stderr)
-            return 1
+            raise _UsageError("a subcommand is required")
         handler = {
             "simulate-upper": lambda a: _cmd_simulate(a, "upper"),
             "simulate-lower": lambda a: _cmd_simulate(a, "lower"),

@@ -35,7 +35,7 @@ _EXACT_CORR = 1e-14  # |corr| this close to 1 is exact dependence up to rounding
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """``n`` observations of ``m`` named numeric features (columns)."""
+    """``n`` observations of ``m`` numeric features (columns) with distinct ``str`` names."""
 
     names: tuple[str, ...]
     data: np.ndarray
@@ -49,13 +49,13 @@ class FeatureMatrix:
             raise ValueError(f"need at least 3 observations, got {n}")
         if m < 2:
             raise ValueError(f"need at least 2 features, got {m}")
+        object.__setattr__(self, "names", tuple(str(s) for s in self.names))
         if len(self.names) != m:
             raise ValueError("one name per column required")
         if len(set(self.names)) != m:
             raise ValueError("feature names must be unique")
         if not np.all(np.isfinite(data)):
             raise ValueError("data contains non-finite entries")
-        object.__setattr__(self, "names", tuple(str(s) for s in self.names))
         object.__setattr__(self, "data", data)
 
     @property
@@ -285,7 +285,7 @@ def conflict_sets(fm: FeatureMatrix, lambda_mc: float, k_top: int = 3) -> dict[i
     Regressors whose coefficient is negligible, absolutely or relative to
     the dominant one, never become partners: they contribute nothing to the
     inflated fit.  Other features start empty.  The family is then
-    symmetrized by union, so the returned map satisfies
+    symmetrized by :class:`Instance`'s union, so the returned map satisfies
     ``u in T(v)  iff  v in T(u)``.
 
     All ``m`` regressions come from one inverse ``P`` of the ridged
@@ -298,14 +298,16 @@ def conflict_sets(fm: FeatureMatrix, lambda_mc: float, k_top: int = 3) -> dict[i
     observations; with fewer, every feature fits perfectly and the screen
     would flag them all.
     """
-    return _vif_screen(pearson_matrix(fm), fm.n, lambda_mc, k_top)
+    rows = _vif_screen(pearson_matrix(fm), fm.n, lambda_mc, k_top)
+    return Instance(fm.m, conflicts=rows).conflicts
 
 
-def _vif_screen(corr: np.ndarray, n: int, lambda_mc: float,
-                k_top: int) -> dict[int, frozenset[int]]:
-    """:func:`conflict_sets` on the correlation matrix of ``n`` observations."""
+def _vif_screen(corr: np.ndarray, n: int, lambda_mc: float, k_top: int) -> np.ndarray:
+    """:func:`conflict_sets`'s screen of ``corr`` (``n`` observations) before the
+    union: an integer ``(k, 2)`` array of 1-based ``(flagged, partner)`` rows."""
     if not lambda_mc > 1.0:  # a NaN threshold fails too
         raise ValueError("lambda_mc must exceed 1")
+    k_top = operator.index(k_top)
     if k_top < 1:
         raise ValueError("k_top must be at least 1")
     m = corr.shape[0]
@@ -318,18 +320,15 @@ def _vif_screen(corr: np.ndarray, n: int, lambda_mc: float,
     fits = ~(r2 >= 1.0 - 1e-12)  # the rest reach the cap; a NaN R^2 does not
     factor = np.full(m, VIF_MAX)
     factor[fits] = np.minimum(1.0 / (1.0 - r2[fits]), VIF_MAX)
-    raw: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
+    rows = []
     for v in np.flatnonzero(factor > lambda_mc).tolist():
         magnitudes = np.abs(coef[v])  # zero at v itself, so never a partner
         floor = max(_COEF_FLOOR, 0.01 * float(magnitudes.max()))
         partners = np.flatnonzero(magnitudes > floor)
         # a stable sort keeps ties in index order: the smaller index first
         ranked = partners[np.argsort(-magnitudes[partners], kind="stable")]
-        raw[v + 1] = set((ranked[:k_top] + 1).tolist())
-    for v in range(1, m + 1):
-        for u in raw[v].copy():
-            raw[u].add(v)
-    return {v: frozenset(raw[v]) for v in range(1, m + 1)}
+        rows += ((v + 1, u) for u in (ranked[:k_top] + 1).tolist())
+    return np.array(rows, dtype=np.intp).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -115,8 +115,7 @@ def graph_system(adjacency: Mapping[int, Iterable[int]]) -> GoodnessSystem:
     def g(x, chosen: frozenset):
         return 0 if neighbors[x] & chosen else 1
 
-    singleton_good = {v: frozenset(u for u in vertices if v not in neighbors[u])
-                      for v in vertices}
+    singleton_good = {v: frozenset(vertices) - neighbors[v] for v in vertices}
     return system_from_singletons(vertices, singleton_good, g, values={0, 1}, accepting={1})
 
 
@@ -136,11 +135,11 @@ def instance_system(inst: Instance) -> GoodnessSystem:
     def g(x, chosen: frozenset):
         return 1 if any(x in closed[v] for v in chosen) else 0
 
-    ends = np.array(list(inst.edges), dtype=np.intp).reshape(-1, 2) - 1
-    apart = np.ones((inst.m, inst.m), dtype=bool)  # true iff no edge joins the two vertices
-    apart[ends[:, 0], ends[:, 1]] = apart[ends[:, 1], ends[:, 0]] = False
-    singleton_good = {v: frozenset((np.flatnonzero(row) + 1).tolist())
-                      for v, row in zip(vertices, apart)}
+    neighbors = {v: set() for v in vertices}
+    for u, v in inst.edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    singleton_good = {v: frozenset(vertices) - neighbors[v] for v in vertices}
     return system_from_singletons(vertices, singleton_good, g, values={0, 1}, accepting={0})
 
 
@@ -343,12 +342,15 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
     """Verify the symmetry and intersection axioms over subset pairs.
 
     ``mode="exhaustive"`` checks all unordered pairs (requires ``N <= 12``);
-    ``mode="sampled"`` checks ``samples`` uniformly drawn pairs.  The report
+    ``mode="sampled"`` checks ``samples`` (at least 1) uniformly drawn
+    pairs; exhaustive mode ignores ``samples``.  The report
     lists violating pairs, truncated after the first 50.
     """
     samples = operator.index(samples)
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError("sampled mode needs samples >= 1")
     n = system.size
     elements = system.universe  # elements[i] is bit i of a mask
     index = {v: i for i, v in enumerate(elements)}

@@ -186,13 +186,6 @@ def _rows(pairs, items: Iterable[tuple[object, Iterable]], m: int, self_pair: st
     return np.array(flat, dtype=np.intp).reshape(-1, 2)
 
 
-def adjacency_masks(rows: np.ndarray) -> list[int]:
-    """Each boolean adjacency row as an int bitmask, bit ``j`` for column
-    ``j`` (vertex ``j + 1``)."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row, "little") for row in packed]
-
-
 METHODS = ("exact", "greedy", "randomized")
 
 
@@ -258,10 +251,6 @@ def is_nice(s: Iterable[int], inst: Instance) -> bool:
     are integers (numpy integers included); other types raise
     :class:`TypeError`."""
     members = sorted({operator.index(v) for v in s})
-    mask = 0
-    for v in members:
-        _vertex(v, inst.m)
-        mask |= 1 << (v - 1)
-    rows = inst.adjacency[np.array(members, dtype=np.intp) - 1]
-    return not any(row & mask for row in adjacency_masks(rows))
+    rows = np.array([_vertex(v, inst.m) for v in members], dtype=np.intp) - 1
+    return not inst.adjacency[np.ix_(rows, rows)].any()
 

@@ -13,8 +13,14 @@ import operator
 import numpy as np
 
 from .errors import BudgetError
-from .instance import METHODS, Instance, NiceSetResult, adjacency_masks, is_nice
+from .instance import METHODS, Instance, NiceSetResult, is_nice
 from .rng import derive_seed, generator
+
+
+def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
+    """Each adjacency row as an int bitmask, bit ``j`` for vertex ``j + 1``."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def _bits(mask: int):
@@ -79,7 +85,7 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
     if node_budget <= 0:
         raise ValueError("node_budget must be positive")
     m = inst.m
-    adj = adjacency_masks(inst.adjacency)
+    adj = _adjacency_masks(inst.adjacency)
     best_mask = _min_degree_greedy(adj, m)
     best_size = best_mask.bit_count()
     nodes = 0
@@ -114,7 +120,7 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
 def greedy_nice(inst: Instance) -> NiceSetResult:
     """Maximal (not necessarily maximum) nice set by residual min-degree
     greedy; ties go to the smallest vertex."""
-    mask = _min_degree_greedy(adjacency_masks(inst.adjacency), inst.m)
+    mask = _min_degree_greedy(_adjacency_masks(inst.adjacency), inst.m)
     vertices = _mask_to_vertices(mask)
     _check_witness(vertices, inst)
     return NiceSetResult(vertices=vertices, size=len(vertices), method="greedy")
@@ -139,7 +145,7 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
         raise ValueError("max_restarts must be at least 1")
     m, adjacency = inst.m, inst.adjacency
     flat = adjacency.ravel()  # a view: the adjacency is C-contiguous
-    for target in range(_clique_cover_bound((1 << m) - 1, adjacency_masks(adjacency)), 0, -1):
+    for target in range(_clique_cover_bound((1 << m) - 1, _adjacency_masks(adjacency)), 0, -1):
         draws = generator(derive_seed(seed, target)).integers(0, m, size=(max_restarts, target))
         ordered = np.sort(draws, axis=1)
         rows = draws[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]

@@ -208,6 +208,8 @@ def test_domain_error_exits_one(capsys):
     (["chernoff", "--r", "10", "--p", "nan"], "p must lie strictly between 0 and 1"),
     (["chernoff", "--r", "0", "--p", "0.5"], "r must be at least 1"),
     (["chernoff", "--r", "-3", "--p", "0.5"], "r must be at least 1"),
+    (["chernoff", "--r", "10", "--p", "0.5", "--seed", "-1"],
+     "seeds and derivation indices must be non-negative"),
 ])
 def test_non_finite_bound_parameters_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

@@ -357,6 +357,8 @@ def test_feature_matrix_validation():
         FeatureMatrix(names=("a", "b"), data=np.ones((2, 2)))   # n < 3
     with pytest.raises(ValueError):
         FeatureMatrix(names=("a", "a"), data=np.ones((5, 2)))
+    with pytest.raises(ValueError, match="feature names must be unique"):
+        FeatureMatrix(names=(1, "1"), data=np.ones((5, 2)))  # equal once made str
     bad = np.ones((5, 2))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
@@ -716,6 +718,12 @@ def test_conflict_sets_validation():
         conflict_sets(fm, float("nan"))
     with pytest.raises(ValueError):
         conflict_sets(fm, lambda_mc=5.0, k_top=0)
+    # a fractional k_top is refused whether or not a feature is flagged
+    for data in (fm, planted_block_matrix()):
+        with pytest.raises(TypeError):
+            conflict_sets(data, lambda_mc=5.0, k_top=2.5)
+        with pytest.raises(TypeError):
+            select_features(data, 0.9, 5.0, k_top=2.5)
 
 
 @pytest.mark.parametrize("n, m", [(10, 30), (30, 30)])

@@ -393,6 +393,10 @@ def test_axiom_check_sampled_mode_and_validation(path_system):
         for bad in (2.5, nan):
             with pytest.raises(TypeError):
                 check_goodness_axioms(path_system, mode=mode, samples=bad)
+    for bad in (0, -5):  # a sampled check of no pairs checks nothing
+        with pytest.raises(ValueError, match="sampled mode needs samples >= 1"):
+            check_goodness_axioms(path_system, mode="sampled", samples=bad)
+        assert check_goodness_axioms(path_system, mode="exhaustive", samples=bad).ok
 
 
 def test_intersection_identity_from_singletons():

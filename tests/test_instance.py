@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from niceset import (ConflictSpec, Instance, NiceSetResult, derive_seed, is_nice,
+from niceset import (ConflictSpec, Instance, NiceSetResult, check_goodness_axioms,
+                     derive_seed, instance_system, is_nice, randomized_construct,
                      sample_instance)
 from niceset.rng import generator
 
@@ -367,3 +368,16 @@ def test_derive_seed_is_stable_and_spreads():
     assert len(seen) == 1000
     with pytest.raises(ValueError):
         derive_seed(-1, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generator(-1),
+    lambda: sample_instance(5, 0.5, seed=-1),
+    lambda: randomized_construct(instance_system(sample_instance(5, 0.5)), 2, 10, seed=-1),
+    lambda: check_goodness_axioms(instance_system(sample_instance(5, 0.5)), mode="sampled",
+                                  seed=-1),
+], ids=["generator", "sample_instance", "randomized_construct", "check_goodness_axioms"])
+def test_negative_seeds_fail_with_one_message(call):
+    # derive_seed's own check, not numpy's "expected non-negative integer"
+    with pytest.raises(ValueError, match="^seeds and derivation indices must be non-negative$"):
+        call()

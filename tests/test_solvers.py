@@ -73,7 +73,7 @@ def reference_recursive_exact(inst, node_budget=5_000_000):
     """The recursive search that preceded the explicit stack, one Python
     frame per search level, from the tie-list greedy start it used."""
     m = inst.m
-    adj = niceset.instance.adjacency_masks(inst.adjacency)
+    adj = solvers._adjacency_masks(inst.adjacency)
     remaining, best_mask = (1 << m) - 1, 0
     while remaining:
         ties, best = [], m + 1
