@@ -10,8 +10,9 @@ sampler accepts it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+
+from .errors import count, open_unit
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,8 @@ class BoundParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "m", operator.index(self.m))
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly between 0 and 1")
+        object.__setattr__(self, "m", count("m", self.m, 2))
+        open_unit("p", self.p)
         # negated tests, so that NaN fails them too
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")

@@ -1,12 +1,35 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule by which the
+public API accepts counts and probabilities (:func:`count`, :func:`open_unit`).
 
-Domain and precondition violations raise plain :class:`ValueError` (or the
-:class:`CsvError` subclass, which carries coordinates).  Exhausted search or
-enumeration budgets raise :class:`BudgetError` so callers can distinguish
+A parameter of the wrong type, such as a non-integer count, raises
+:class:`TypeError`; a value outside its domain raises :class:`ValueError` (or
+the :class:`CsvError` subclass, which carries coordinates).  Exhausted search
+or enumeration budgets raise :class:`BudgetError` so callers can distinguish
 "input is wrong" from "input is too big for this method".
 """
 
 from __future__ import annotations
+
+import operator
+
+
+def count(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``.  A non-integer
+    (``2.5``, NaN, ``"3"``) raises :class:`TypeError`, a smaller value
+    :class:`ValueError`; both messages name ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
+
+
+def open_unit(name: str, value: float) -> None:
+    """Raise :class:`ValueError` naming ``name`` unless ``0 < value < 1``."""
+    if not 0.0 < value < 1.0:  # negated, so that NaN fails it too
+        raise ValueError(f"{name} must lie strictly between 0 and 1")
 
 
 class BudgetError(RuntimeError):

@@ -16,14 +16,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CsvError
+from .errors import CsvError, count
 from .instance import Edge, Instance, is_nice
 from .solvers import solve
 
@@ -49,6 +48,8 @@ class FeatureMatrix:
             raise ValueError(f"need at least 3 observations, got {n}")
         if m < 2:
             raise ValueError(f"need at least 2 features, got {m}")
+        if isinstance(self.names, (str, bytes)):
+            raise TypeError("names must be a sequence of names, not a string")
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
         if len(self.names) != m:
             raise ValueError("one name per column required")
@@ -68,7 +69,7 @@ class FeatureMatrix:
 
     def column(self, j: int) -> np.ndarray:
         """Column of feature ``j`` (1-based)."""
-        if not 1 <= j <= self.m:
+        if (j := count("j", j, 1)) > self.m:
             raise ValueError(f"feature index {j} out of range 1..{self.m}")
         return self.data[:, j - 1]
 
@@ -248,15 +249,12 @@ def vif(fm: FeatureMatrix, j: int, regressors: Iterable[int]) -> float:
     The residual-based R^2 is clipped to [0, 1].  Only the target and the
     regressors are checked for a constant column, the target first.
     """
-    j = operator.index(j)
-    regressors = tuple(sorted(set(map(operator.index, regressors))))
+    j = count("j", j, 1)
+    regressors = tuple(sorted({count("regressors", r, 1) for r in regressors}))
     if not regressors:
         raise ValueError("at least one regressor required")
-    if not 1 <= j <= fm.m:
-        raise ValueError(f"feature index {j} out of range 1..{fm.m}")
-    for r in regressors:
-        if not 1 <= r <= fm.m:
-            raise ValueError(f"regressor index {r} out of range 1..{fm.m}")
+    if (top := max(j, *regressors)) > fm.m:
+        raise ValueError(f"feature index {top} out of range 1..{fm.m}")
     if j in regressors:
         raise ValueError(f"feature {j} cannot regress on itself")
     if fm.n <= len(regressors) + 1:
@@ -307,9 +305,7 @@ def _vif_screen(corr: np.ndarray, n: int, lambda_mc: float, k_top: int) -> np.nd
     union: an integer ``(k, 2)`` array of 1-based ``(flagged, partner)`` rows."""
     if not lambda_mc > 1.0:  # a NaN threshold fails too
         raise ValueError("lambda_mc must exceed 1")
-    k_top = operator.index(k_top)
-    if k_top < 1:
-        raise ValueError("k_top must be at least 1")
+    k_top = count("k_top", k_top, 1)
     m = corr.shape[0]
     if n <= m:
         raise ValueError(f"need n > {m} observations, got {n}")

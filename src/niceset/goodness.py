@@ -27,7 +27,6 @@ uniform sampling and :func:`brute_force_mutually_good` by exhaustive search.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -35,7 +34,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, count
 from .instance import Instance
 from .rng import generator
 
@@ -200,11 +199,11 @@ class FractionTable:
 
     def p_at(self, i: int) -> Fraction:
         """``p_i`` (1-based)."""
-        return self.p[i - 1]
+        return self.p[count("i", i, 1) - 1]
 
     def q_at(self, i: int) -> Fraction:
         """``q_i`` (1-based)."""
-        return self.q[i - 1]
+        return self.q[count("i", i, 1) - 1]
 
 
 def fraction_table(system: GoodnessSystem, up_to: int,
@@ -215,10 +214,10 @@ def fraction_table(system: GoodnessSystem, up_to: int,
     ``|h(I)| / N`` over all B-constrained sets ``I`` with ``|I| <= i``, the
     empty set included.
     """
-    up_to = operator.index(up_to)
-    if not 1 <= up_to <= system.size:
-        raise ValueError(f"index must lie in 1..{system.size}, got {up_to}")
     n = system.size
+    up_to, max_subsets = count("up_to", up_to, 1), count("max_subsets", max_subsets, 1)
+    if up_to > n:
+        raise ValueError(f"up_to must be at most {n}, got {up_to}")
     if sum(math.comb(n, j) for j in range(up_to + 1)) > max_subsets:
         raise BudgetError(
             f"enumerating subsets of size <= {up_to} over {n} elements "
@@ -243,8 +242,7 @@ def construction_success_bound(table: FractionTable, L: int) -> Fraction:
     factor is clamped below at 0 (one exhausted factor makes the iterated
     bound vacuous, so the product must not recover sign).
     """
-    if L < 2:
-        raise ValueError("L must be at least 2")
+    L = count("L", L, 2)
     if L >= 3 and len(table.p) < L - 1:
         raise ValueError(f"table must cover indices up to {L - 1}")
     bound = Fraction(1)
@@ -266,8 +264,7 @@ def attempt_success_bound(table: FractionTable, n_universe: int, L: int) -> Frac
     element never breaks the previously chosen elements' constraints; the
     graph and instance systems both have this property.
     """
-    if L < 2:
-        raise ValueError("L must be at least 2")
+    L, n_universe = count("L", L, 2), count("n_universe", n_universe, 1)
     if len(table.p) < L - 1:
         raise ValueError(f"table must cover indices up to {L - 1}")
     bound = max(Fraction(0), 1 - table.q_at(1))
@@ -287,11 +284,9 @@ def randomized_construct(system: GoodnessSystem, L: int, max_restarts: int,
     attempt.  Returns the first success, else ``None``.  Deterministic under
     ``seed``.
     """
-    L, max_restarts = operator.index(L), operator.index(max_restarts)
-    if not 1 <= L <= system.size:
-        raise ValueError("L must lie in 1..N")
-    if max_restarts < 1:
-        raise ValueError("max_restarts must be at least 1")
+    L, max_restarts = count("L", L, 1), count("max_restarts", max_restarts, 1)
+    if L > system.size:
+        raise ValueError(f"L must be at most {system.size}, got {L}")
     for draws in generator(seed).integers(0, system.size, size=(max_restarts, L)).tolist():
         if len(set(draws)) < L:
             continue
@@ -305,9 +300,9 @@ def brute_force_mutually_good(system: GoodnessSystem, L: int,
                               max_subsets: int = 2_000_000) -> frozenset | None:
     """First mutually good B-constrained set of cardinality exactly ``L`` in
     lexicographic universe order, or ``None`` if none exists."""
-    L = operator.index(L)
-    if not 0 <= L <= system.size:
-        raise ValueError("L must lie in 0..N")
+    L, max_subsets = count("L", L, 0), count("max_subsets", max_subsets, 1)
+    if L > system.size:
+        raise ValueError(f"L must be at most {system.size}, got {L}")
     if math.comb(system.size, L) > max_subsets:
         raise BudgetError(f"C({system.size}, {L}) exceeds the budget of {max_subsets}")
     return next((s for s in _constrained_sets(system, L) if is_mutually_good(system, s)),
@@ -343,10 +338,11 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
 
     ``mode="exhaustive"`` checks all unordered pairs (requires ``N <= 12``);
     ``mode="sampled"`` checks ``samples`` (at least 1) uniformly drawn
-    pairs; exhaustive mode ignores ``samples``.  The report
-    lists violating pairs, truncated after the first 50.
+    pairs; exhaustive mode ignores the value of ``samples``.  The report
+    lists violating pairs, truncated after the first 50, and counts the
+    pairs checked up to that point.
     """
-    samples = operator.index(samples)
+    samples = count("samples", samples, -math.inf)  # typed in both modes; bounded in sampled mode
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and samples < 1:
@@ -393,7 +389,7 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
 
     rng = generator(seed)
     violations = []
-    for _ in range(samples):
+    for checked in range(1, samples + 1):
         a = int(rng.integers(0, total))
         b = int(rng.integers(0, total))
         fa, fb = f_mask(a), f_mask(b)
@@ -402,7 +398,7 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
         if f_mask(a | b) != fa & fb:
             violations.append(AxiomViolation("intersection", subset(a), subset(b)))
         if len(violations) > _MAX_RECORDED_VIOLATIONS:
-            return AxiomReport(checked_pairs=samples,
+            return AxiomReport(checked_pairs=checked,
                                violations=tuple(violations[:_MAX_RECORDED_VIOLATIONS]),
                                truncated=True)
     return AxiomReport(checked_pairs=samples, violations=tuple(violations))

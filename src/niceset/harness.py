@@ -9,16 +9,16 @@ Statistical margins are three binomial standard errors throughout.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 
+from . import errors  # qualified: run_lemma_verification has a parameter `count`
 from .bounds import (BoundParams, chernoff_bound, lower_size_threshold,
                      size_lower_bound, size_upper_bound, upper_size_threshold)
 from .errors import BudgetError
 from .goodness import (GoodnessSystem, brute_force_mutually_good, fraction_table,
                        instance_system)
 from .instance import METHODS, ConflictSpec, sample_instance
-from .rng import derive_seed, generator
+from .rng import _seed, derive_seed, generator
 from .solvers import solve
 
 
@@ -36,14 +36,13 @@ class ExperimentConfig:
     solver: str = "exact"
 
     def __post_init__(self):
-        for name in ("m", "trials", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        # bound evaluation needs 0 < p < 1 even though the sampler allows the endpoints
+        params = BoundParams(m=self.m, p=self.p, gamma=self.gamma, delta=self.delta)
+        object.__setattr__(self, "m", params.m)
+        object.__setattr__(self, "trials", errors.count("trials", self.trials, 1))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.solver not in METHODS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        # bound evaluation needs 0 < p < 1 even though the sampler allows the endpoints
-        BoundParams(m=self.m, p=self.p, gamma=self.gamma, delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -164,11 +163,8 @@ def run_lemma_verification(count: int, n_max: int = 8, seed: int = 0) -> LemmaRe
     check the existence guarantee at every cardinality where it applies.
     Universe sizes are drawn from ``2..n_max``; the first system over the
     enumeration budget raises :class:`BudgetError` naming its index."""
-    count, n_max, seed = (operator.index(x) for x in (count, n_max, seed))
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    count, n_max = errors.count("count", count, 1), errors.count("n_max", n_max, 2)
+    seed = _seed(seed)
     all_violations: list[dict] = []
     fired_total = 0
     for k in range(count):
@@ -217,10 +213,10 @@ class ChernoffReport:
 def binomial_deviation_tail(r: int, p: float, deviation: float) -> float:
     """``P(|S - r*p| >= deviation)`` for ``S ~ Binomial(r, p)``, by direct
     summation of the probability mass function."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
+    r = errors.count("r", r, 1)
+    errors.open_unit("p", p)
+    if math.isnan(deviation):
+        raise ValueError("deviation must not be NaN")
     theta = r * p
     return float(sum(math.comb(r, k) * p ** k * (1.0 - p) ** (r - k)
                      for k in range(r + 1) if abs(k - theta) >= deviation))
@@ -231,13 +227,8 @@ def run_chernoff_check(r: int, bernoulli_p: float, gamma: float, trials: int,
     """Simulate ``trials`` Bernoulli sums of length ``r`` and compare the
     frequency of relative deviations of at least ``gamma`` with the
     closed-form bound and with the exact binomial tail."""
-    r, trials = operator.index(r), operator.index(trials)
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0.0 < bernoulli_p < 1.0:  # negated, so that NaN fails it too
-        raise ValueError("p must lie strictly between 0 and 1")
+    r, trials = errors.count("r", r, 1), errors.count("trials", trials, 1)
+    errors.open_unit("p", bernoulli_p)  # the name the CLI and the report give it
     theta = r * bernoulli_p
     bound = chernoff_bound(theta, gamma)  # validates gamma and theta
     deviation = theta * gamma

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .errors import count
 from .rng import generator
 
 Edge = tuple[int, int]
@@ -40,11 +41,9 @@ class ConflictSpec:
     k: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "k", count("k", self.k, 0))
         if self.kind not in _CONFLICT_KINDS:
             raise ValueError(f"unknown conflict kind {self.kind!r}; expected one of {_CONFLICT_KINDS}")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
         if self.kind == "none" and self.k != 0:
             raise ValueError("conflict kind 'none' takes k=0")
 
@@ -86,9 +85,7 @@ class Instance:
 
     def __init__(self, m: int, edges: Iterable[Iterable[int]] = (),
                  conflicts: Mapping[int, Iterable[int]] | np.ndarray | None = None):
-        m = operator.index(m)
-        if m < 1:
-            raise ValueError("m must be at least 1")
+        m = count("m", m, 1)
         edge_rows = _rows(edges, ((u, (v,)) for u, v in edges), m, "self-loop at vertex {}")
         conflicts = {} if conflicts is None else conflicts
         items = (((v, (u,)) for v, u in conflicts) if isinstance(conflicts, np.ndarray)
@@ -125,24 +122,27 @@ class Instance:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Instance":
-        """Inverse of :meth:`to_dict`.  A malformed payload raises
-        :class:`ValueError`."""
-        if not isinstance(payload, Mapping):
-            raise ValueError(f"instance payload must be an object, got {type(payload).__name__}")
-        if "m" not in payload:
-            raise ValueError("instance payload has no 'm'")
-        edges = payload.get("edges", [])
-        conflicts = payload.get("conflicts", {})
-        if not isinstance(edges, (list, tuple)):
-            raise ValueError(f"'edges' must be a list, got {type(edges).__name__}")
-        if not isinstance(conflicts, Mapping):
-            raise ValueError(f"'conflicts' must be an object, got {type(conflicts).__name__}")
+        """Inverse of :meth:`to_dict`.  A payload of the wrong shape or
+        type raises :class:`ValueError` starting ``malformed instance
+        payload: ``; a bad vertex, pair or ``m`` raises as the constructor
+        does."""
         try:
-            return cls(
-                m=payload["m"],
-                edges=[tuple(e) for e in edges],
-                conflicts={int(v): set(ts) for v, ts in conflicts.items()},
-            )
+            if not isinstance(payload, Mapping):
+                raise TypeError(f"expected an object, got {type(payload).__name__}")
+            if "m" not in payload:
+                raise TypeError("no 'm'")
+            conflicts = payload.get("conflicts", {})
+            if not isinstance(conflicts, Mapping):
+                raise TypeError(f"'conflicts' must be an object, got {type(conflicts).__name__}")
+            edges = [tuple(e) for e in payload.get("edges", [])]
+            if any(len(e) != 2 for e in edges):
+                raise TypeError("every edge must be a pair")
+            # JSON object keys are strings; other keys reach the constructor as given
+            family = {int(v) if isinstance(v, str) else v: ts for v, ts in conflicts.items()}
+        except (TypeError, ValueError) as exc:  # ValueError: a key int() rejects
+            raise ValueError(f"malformed instance payload: {exc}") from None
+        try:
+            return cls(payload["m"], edges, family)
         except TypeError as exc:
             raise ValueError(f"malformed instance payload: {exc}") from None
 
@@ -215,9 +215,7 @@ def sample_instance(m: int, p: float, spec: ConflictSpec | None = None,
     vertex, and the family is symmetrized by union.  Identical
     ``(m, p, spec, seed)`` yield bit-identical instances.
     """
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = count("m", m, 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     spec = spec or ConflictSpec.none()

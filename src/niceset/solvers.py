@@ -8,11 +8,9 @@ integer computations with no floating point involved.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, count
 from .instance import METHODS, Instance, NiceSetResult, is_nice
 from .rng import derive_seed, generator
 
@@ -81,9 +79,7 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
     only limit.  Raises :class:`BudgetError` carrying the best set found when
     more than ``node_budget`` search nodes are expanded.
     """
-    node_budget = operator.index(node_budget)
-    if node_budget <= 0:
-        raise ValueError("node_budget must be positive")
+    node_budget = count("node_budget", node_budget, 1)
     m = inst.m
     adj = _adjacency_masks(inst.adjacency)
     best_mask = _min_degree_greedy(adj, m)
@@ -140,9 +136,7 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
     system.  ``L = 1`` always succeeds, so a set is always returned.
     Deterministic under ``seed``.
     """
-    max_restarts = operator.index(max_restarts)
-    if max_restarts < 1:
-        raise ValueError("max_restarts must be at least 1")
+    max_restarts = count("max_restarts", max_restarts, 1)
     m, adjacency = inst.m, inst.adjacency
     flat = adjacency.ravel()  # a view: the adjacency is C-contiguous
     for target in range(_clique_cover_bound((1 << m) - 1, _adjacency_masks(adjacency)), 0, -1):

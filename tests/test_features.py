@@ -359,6 +359,9 @@ def test_feature_matrix_validation():
         FeatureMatrix(names=("a", "a"), data=np.ones((5, 2)))
     with pytest.raises(ValueError, match="feature names must be unique"):
         FeatureMatrix(names=(1, "1"), data=np.ones((5, 2)))  # equal once made str
+    for names in ("ab", b"ab"):  # one string is not split into one name per character
+        with pytest.raises(TypeError, match="names"):
+            FeatureMatrix(names=names, data=np.ones((5, 2)))
     bad = np.ones((5, 2))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

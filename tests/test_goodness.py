@@ -399,6 +399,24 @@ def test_axiom_check_sampled_mode_and_validation(path_system):
         assert check_goodness_axioms(path_system, mode="exhaustive", samples=bad).ok
 
 
+def test_truncated_axiom_check_counts_the_pairs_it_checked():
+    # f(S) = {min S} breaks both axioms on most pairs, so both modes stop at
+    # the 51st violation, long before they run out of pairs
+    U = tuple(range(1, 7))
+    system = GoodnessSystem(universe=U, f=lambda s: frozenset([min(s)]) if s else frozenset(U),
+                            g=lambda x, s: 1, values=frozenset({1}), accepting=frozenset({1}))
+    exhaustive = check_goodness_axioms(system)
+    assert exhaustive.truncated and exhaustive.checked_pairs == 127
+    sampled = check_goodness_axioms(system, mode="sampled", samples=2000, seed=0)
+    checked = sampled.checked_pairs
+    assert sampled.truncated and 26 <= checked < 2000
+    # a seed draws the same pairs whatever the sample count, so a run of
+    # exactly that many pairs stops at the same pair, and one fewer does not stop
+    assert check_goodness_axioms(system, mode="sampled", samples=checked, seed=0) == sampled
+    shorter = check_goodness_axioms(system, mode="sampled", samples=checked - 1, seed=0)
+    assert not shorter.truncated and shorter.checked_pairs == checked - 1
+
+
 def test_intersection_identity_from_singletons():
     # f(I) equals the intersection of its singleton values, exhaustively
     for seed in range(5):

@@ -330,6 +330,8 @@ def test_json_round_trip_and_schema():
     {"m": 3, "edges": 5},                          # edges not a list
     {"m": 3, "edges": {"1": 2}},
     {"m": 3, "edges": [7]},                        # an edge that is not a pair
+    {"m": 3, "edges": [[1]]},
+    {"m": 3, "edges": [[1, 2, 3]]},
     {"m": 3, "edges": [[1, "b"]]},
     {"m": 3, "conflicts": {"x": [2]}},             # non-integer conflict key
     {"m": 3, "conflicts": {"1.5": [2]}},
@@ -348,10 +350,61 @@ def test_json_round_trip_and_schema():
     {"m": "3"},
 ])
 def test_from_dict_rejects_malformed_payloads(payload):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^malformed instance payload: "):
         Instance.from_dict(payload)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^malformed instance payload: "):
         Instance.from_json(json.dumps(payload))
+
+
+def _not_an_int_literal(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# JSON values that are not integers (booleans are integers to Python)
+_NON_INTEGERS = st.one_of(
+    st.none(), st.floats(allow_nan=False), st.text(min_size=1),
+    st.lists(st.integers(1, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(3, 6))
+def test_from_dict_names_every_structural_defect(data, m):
+    # a valid payload with exactly one defect of shape or type; range and
+    # self-pair errors cannot occur, so the payload prefix is the only answer
+    payload = {"m": m, "edges": [[1, 2]], "conflicts": {"2": [3]}}
+    where = data.draw(st.sampled_from(
+        ["m", "edges", "edge", "arity", "conflicts", "key", "partners", "partner", "top"]))
+    if where == "m":
+        payload["m"] = data.draw(_NON_INTEGERS)
+    elif where == "edges":
+        payload["edges"] = data.draw(st.one_of(st.none(), st.integers(), st.floats(allow_nan=False)))
+    elif where == "edge":
+        payload["edges"].append([1, data.draw(_NON_INTEGERS)])
+    elif where == "arity":
+        arity = data.draw(st.integers(0, 5).filter(lambda n: n != 2))
+        payload["edges"].append(data.draw(st.lists(st.integers(1, m), min_size=arity,
+                                                   max_size=arity)))
+    elif where == "conflicts":
+        payload["conflicts"] = data.draw(st.one_of(
+            st.none(), st.integers(), st.text(), st.lists(st.integers(1, m), max_size=3)))
+    elif where == "key":
+        payload["conflicts"][data.draw(st.text().filter(_not_an_int_literal))] = [1]
+    elif where == "partners":
+        payload["conflicts"]["1"] = data.draw(st.one_of(
+            st.none(), st.integers(), st.floats(allow_nan=False), st.text(min_size=1)))
+    elif where == "partner":
+        payload["conflicts"]["1"] = [data.draw(_NON_INTEGERS)]
+    else:
+        payload = data.draw(st.one_of(st.none(), st.integers(), st.text(),
+                                      st.lists(st.integers(), max_size=3)))
+    for load in (Instance.from_dict, lambda p: Instance.from_json(json.dumps(p))):
+        with pytest.raises(ValueError) as info:
+            load(payload)
+        assert str(info.value).startswith("malformed instance payload: "), (payload, info.value)
 
 
 def test_nice_set_result_validation():

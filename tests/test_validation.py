@@ -1,0 +1,104 @@
+"""Every count and probability parameter of the public API, held to one rule.
+
+A count that is not an integer (``2.5``, NaN, ``"3"``) raises ``TypeError``
+and one below its minimum ``ValueError``; a probability outside its interval,
+NaN included, raises ``ValueError``.  Each message names the parameter.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from niceset import (BoundParams, ConflictSpec, ExperimentConfig, FeatureMatrix, Instance,
+                     attempt_success_bound, binomial_deviation_tail,
+                     brute_force_mutually_good, build_instance, check_goodness_axioms,
+                     conflict_sets, construction_success_bound, fraction_table,
+                     instance_system, lower_size_threshold, max_nice_exact,
+                     randomized_construct, randomized_nice, run_chernoff_check,
+                     run_lemma_verification, sample_instance, select_features,
+                     upper_size_threshold, vif)
+
+INSTANCE = Instance(4, edges=[(1, 2)], conflicts={3: [4]})
+SYSTEM = instance_system(sample_instance(5, 0.5, seed=1))
+TABLE = fraction_table(SYSTEM, 4)
+FM = FeatureMatrix(names=("a", "b", "c"), data=np.random.default_rng(0).normal(size=(20, 3)))
+
+# (callable, parameter, minimum, call with the parameter set to a value)
+COUNTS = [
+    (BoundParams, "m", 2, lambda v: BoundParams(m=v, p=0.5)),
+    (upper_size_threshold, "m", 2, lambda v: upper_size_threshold(v, 0.5, 1.0)),
+    (lower_size_threshold, "m", 2, lambda v: lower_size_threshold(v, 0.5, 0.25, 1.0)),
+    (ConflictSpec, "k", 0, lambda v: ConflictSpec("uniform-k", v)),
+    (ConflictSpec.uniform, "k", 0, ConflictSpec.uniform),
+    (Instance, "m", 1, Instance),
+    (sample_instance, "m", 1, lambda v: sample_instance(v, 0.5)),
+    (max_nice_exact, "node_budget", 1, lambda v: max_nice_exact(INSTANCE, node_budget=v)),
+    (randomized_nice, "max_restarts", 1, lambda v: randomized_nice(INSTANCE, max_restarts=v)),
+    (fraction_table, "up_to", 1, lambda v: fraction_table(SYSTEM, v)),
+    (fraction_table, "max_subsets", 1, lambda v: fraction_table(SYSTEM, 2, max_subsets=v)),
+    (brute_force_mutually_good, "L", 0, lambda v: brute_force_mutually_good(SYSTEM, v)),
+    (brute_force_mutually_good, "max_subsets", 1,
+     lambda v: brute_force_mutually_good(SYSTEM, 2, max_subsets=v)),
+    (randomized_construct, "L", 1, lambda v: randomized_construct(SYSTEM, v, 10)),
+    (randomized_construct, "max_restarts", 1, lambda v: randomized_construct(SYSTEM, 2, v)),
+    (construction_success_bound, "L", 2, lambda v: construction_success_bound(TABLE, v)),
+    (attempt_success_bound, "L", 2, lambda v: attempt_success_bound(TABLE, 5, v)),
+    (attempt_success_bound, "n_universe", 1, lambda v: attempt_success_bound(TABLE, v, 3)),
+    (TABLE.p_at, "i", 1, TABLE.p_at),
+    (TABLE.q_at, "i", 1, TABLE.q_at),
+    (check_goodness_axioms, "samples", 1,
+     lambda v: check_goodness_axioms(SYSTEM, mode="sampled", samples=v)),
+    (FM.column, "j", 1, FM.column),
+    (vif, "j", 1, lambda v: vif(FM, v, [2])),
+    (vif, "regressors", 1, lambda v: vif(FM, 1, [2, v])),
+    (conflict_sets, "k_top", 1, lambda v: conflict_sets(FM, 5.0, k_top=v)),
+    (build_instance, "k_top", 1, lambda v: build_instance(FM, 0.9, 5.0, k_top=v)),
+    (select_features, "k_top", 1, lambda v: select_features(FM, 0.9, 5.0, k_top=v)),
+    (ExperimentConfig, "m", 2, lambda v: ExperimentConfig(m=v, p=0.5)),
+    (ExperimentConfig, "trials", 1, lambda v: ExperimentConfig(m=10, p=0.5, trials=v)),
+    (run_lemma_verification, "count", 1, lambda v: run_lemma_verification(v)),
+    (run_lemma_verification, "n_max", 2, lambda v: run_lemma_verification(1, n_max=v)),
+    (run_chernoff_check, "r", 1, lambda v: run_chernoff_check(v, 0.5, 0.5, 10)),
+    (run_chernoff_check, "trials", 1, lambda v: run_chernoff_check(10, 0.5, 0.5, v)),
+    (binomial_deviation_tail, "r", 1, lambda v: binomial_deviation_tail(v, 0.5, 1.0)),
+]
+
+# (callable, name in the message, call with the probability set to a value);
+# run_chernoff_check's ``bernoulli_p`` is ``p`` on the command line and in its report
+OPEN_UNIT = [
+    (BoundParams, "p", lambda v: BoundParams(m=10, p=v)),
+    (upper_size_threshold, "p", lambda v: upper_size_threshold(10, v, 1.0)),
+    (lower_size_threshold, "p", lambda v: lower_size_threshold(10, v, 0.25, 1.0)),
+    (ExperimentConfig, "p", lambda v: ExperimentConfig(m=10, p=v)),
+    (run_chernoff_check, "p", lambda v: run_chernoff_check(10, v, 0.5, 10)),
+    (binomial_deviation_tail, "p", lambda v: binomial_deviation_tail(3, v, 1.0)),
+]
+
+
+def _cases():
+    for owner, name, minimum, call in COUNTS:
+        for bad in (2.5, math.nan, "3"):
+            yield owner, name, call, bad, TypeError
+        yield owner, name, call, minimum - 1, ValueError
+    for owner, name, call in OPEN_UNIT:
+        for bad in (math.nan, 0, 1, 1.5, -0.1):
+            yield owner, name, call, bad, ValueError
+    # the sampler accepts the endpoints of [0, 1]
+    for bad in (math.nan, 1.5, -0.1):
+        yield sample_instance, "p", lambda v: sample_instance(5, v), bad, ValueError
+    yield (binomial_deviation_tail, "deviation",
+           lambda v: binomial_deviation_tail(3, 0.5, v), math.nan, ValueError)
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize(
+    "name, call, bad, error", [case[1:] for case in CASES],
+    ids=[f"{owner.__qualname__}-{name}-{bad!r}" for owner, name, _, bad, _ in CASES])
+def test_bad_value_raises_naming_the_parameter(name, call, bad, error):
+    with pytest.raises(error) as info:
+        call(bad)
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
