@@ -330,8 +330,6 @@ def test_json_round_trip_and_schema():
     {"m": 3, "edges": 5},                          # edges not a list
     {"m": 3, "edges": {"1": 2}},
     {"m": 3, "edges": [7]},                        # an edge that is not a pair
-    {"m": 3, "edges": [[1]]},
-    {"m": 3, "edges": [[1, 2, 3]]},
     {"m": 3, "edges": [[1, "b"]]},
     {"m": 3, "conflicts": {"x": [2]}},             # non-integer conflict key
     {"m": 3, "conflicts": {"1.5": [2]}},
@@ -348,6 +346,8 @@ def test_json_round_trip_and_schema():
     {"m": 3.9},                                    # non-integer m
     {"m": 3.0},
     {"m": "3"},
+    {"m": 3, "edges": [[1]]},                      # an edge of the wrong arity
+    {"m": 3, "edges": [[1, 2, 3]]},
 ])
 def test_from_dict_rejects_malformed_payloads(payload):
     with pytest.raises(ValueError, match="^malformed instance payload: "):
