@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import count, open_unit
+from .errors import count, open_unit, real
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class BoundParams:
         object.__setattr__(self, "m", count("m", self.m, 2))
         open_unit("p", self.p)
         # negated tests, so that NaN fails them too
-        if not 0.0 < self.gamma < math.inf:
+        if not 0.0 < real("gamma", self.gamma) < math.inf:
             raise ValueError("gamma must be positive and finite")
-        if not 0.0 < self.delta < 0.5:
+        if not 0.0 < real("delta", self.delta) < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-        if not 1.0 <= self.tau < math.inf:
+        if not 1.0 <= real("tau", self.tau) < math.inf:
             raise ValueError("tau must be at least 1 and finite")
 
 
@@ -81,9 +81,9 @@ def chernoff_bound(theta_r: float, gamma: float) -> float:
     """Bound ``2*exp(-gamma**2 * theta_r / 4)`` on the probability that a sum
     of independent Bernoulli variables with mean ``theta_r`` deviates from it
     by at least ``theta_r * gamma``.  Requires ``0 < gamma <= 1/2``."""
-    if not 0.0 < gamma <= 0.5:
+    if not 0.0 < real("gamma", gamma) <= 0.5:
         raise ValueError("gamma must lie in (0, 1/2]")
-    if not theta_r > 0.0:  # negated, so that NaN fails it too
+    if not real("theta_r", theta_r) > 0.0:  # negated, so that NaN fails it too
         raise ValueError("theta_r must be positive")
     return 2.0 * math.exp(-gamma * gamma * theta_r / 4.0)
 

@@ -35,8 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _common_flags(parser: argparse.ArgumentParser, trials_default: int | None = None):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
+def _common_flags(parser: argparse.ArgumentParser, trials_default: int | None = None,
+                  seeded: bool = True):
+    if seeded:
+        parser.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the JSON report to PATH instead of stdout")
     if trials_default is not None:
@@ -46,9 +48,9 @@ def _common_flags(parser: argparse.ArgumentParser, trials_default: int | None = 
 
 def _conflict_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--conflict", choices=["none", "uniform-k"], default="none",
-                        help="conflict-set law (default none)")
+                        help="none, or uniform-k with --k partners per vertex (default none)")
     parser.add_argument("--k", type=int, default=0,
-                        help="partners per vertex for uniform-k (default 0)")
+                        help="conflict partners per vertex; needs --conflict uniform-k")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--gamma", type=float, default=1.0)
     bo.add_argument("--delta", type=float, default=0.25)
     bo.add_argument("--tau", type=float, default=1.0)
-    _common_flags(bo)
+    _common_flags(bo, seeded=False)  # the bounds are closed forms; nothing is drawn
 
     se = sub.add_parser("select", help="select a nice feature subset from a CSV")
     se.add_argument("--input", required=True, help="CSV file of numeric features")
@@ -129,11 +131,11 @@ def _emit(report: dict, args, lines: list[str]) -> None:
 
 
 def _cmd_simulate(args, which: str) -> None:
-    spec = (ConflictSpec.uniform(args.k) if args.conflict == "uniform-k"
-            else ConflictSpec.none())
+    if args.conflict == "none" and args.k != 0:
+        raise ValueError(f"--k {args.k} needs --conflict uniform-k")
     cfg = ExperimentConfig(m=args.m, p=args.p, gamma=args.gamma, delta=args.delta,
-                           conflicts=spec, trials=args.trials, seed=args.seed,
-                           solver=args.solver)
+                           conflicts=ConflictSpec.uniform(args.k), trials=args.trials,
+                           seed=args.seed, solver=args.solver)
     rep = run_bound_experiment(cfg)
     if which == "upper":
         lines = [

@@ -1,15 +1,17 @@
 """Exception types shared across the package, and the one rule by which the
-public API accepts counts and probabilities (:func:`count`, :func:`open_unit`).
+public API accepts its numbers (:func:`count`, :func:`real`, :func:`open_unit`).
 
-A parameter of the wrong type, such as a non-integer count, raises
-:class:`TypeError`; a value outside its domain raises :class:`ValueError` (or
-the :class:`CsvError` subclass, which carries coordinates).  Exhausted search
-or enumeration budgets raise :class:`BudgetError` so callers can distinguish
-"input is wrong" from "input is too big for this method".
+A parameter of the wrong type, such as a non-integer count or a string for a
+real number, raises :class:`TypeError`; a value outside its domain raises
+:class:`ValueError` (or the :class:`CsvError` subclass, which carries
+coordinates).  Exhausted search or enumeration budgets raise
+:class:`BudgetError` so callers can distinguish "input is wrong" from "input
+is too big for this method".
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 
@@ -26,9 +28,17 @@ def count(name: str, value, minimum: int) -> int:
     return value
 
 
+def real(name: str, value):
+    """``value`` if it is a real number (``numbers.Real``, numpy scalars too);
+    anything else, ``"0.5"`` and ``None`` included, raises :class:`TypeError`."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+    return value
+
+
 def open_unit(name: str, value: float) -> None:
     """Raise :class:`ValueError` naming ``name`` unless ``0 < value < 1``."""
-    if not 0.0 < value < 1.0:  # negated, so that NaN fails it too
+    if not 0.0 < real(name, value) < 1.0:  # negated, so that NaN fails it too
         raise ValueError(f"{name} must lie strictly between 0 and 1")
 
 

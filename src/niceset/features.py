@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CsvError, count
+from .errors import CsvError, count, real
 from .instance import Edge, Instance, is_nice
 from .solvers import solve
 
@@ -228,7 +228,7 @@ def pearson_matrix(fm: FeatureMatrix) -> np.ndarray:
 def collinearity_graph(corr: np.ndarray, lambda_c: float) -> frozenset[Edge]:
     """Edges ``(u, v)`` with ``|corr(u, v)| >= lambda_c`` (boundary inclusive),
     1-based, ``u < v``.  Requires ``lambda_c in (0, 1]``."""
-    if not 0.0 < lambda_c <= 1.0:
+    if not 0.0 < real("lambda_c", lambda_c) <= 1.0:
         raise ValueError("lambda_c must lie in (0, 1]")
     corr = np.asarray(corr)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
@@ -303,7 +303,7 @@ def conflict_sets(fm: FeatureMatrix, lambda_mc: float, k_top: int = 3) -> dict[i
 def _vif_screen(corr: np.ndarray, n: int, lambda_mc: float, k_top: int) -> np.ndarray:
     """:func:`conflict_sets`'s screen of ``corr`` (``n`` observations) before the
     union: an integer ``(k, 2)`` array of 1-based ``(flagged, partner)`` rows."""
-    if not lambda_mc > 1.0:  # a NaN threshold fails too
+    if not real("lambda_mc", lambda_mc) > 1.0:  # a NaN threshold fails too
         raise ValueError("lambda_mc must exceed 1")
     k_top = count("k_top", k_top, 1)
     m = corr.shape[0]

@@ -172,7 +172,7 @@ def run_lemma_verification(count: int, n_max: int = 8, seed: int = 0) -> LemmaRe
         n = int(rng.integers(2, n_max + 1))
         p = float(rng.uniform(0.05, 0.95))
         k_conflict = int(rng.integers(0, min(3, n)))
-        spec = ConflictSpec.uniform(k_conflict) if k_conflict else ConflictSpec.none()
+        spec = ConflictSpec.uniform(k_conflict)
         inst = sample_instance(n, p, spec, seed=derive_seed(seed, k, 1))
         try:
             violations, fired = existence_violations(instance_system(inst))
@@ -215,7 +215,7 @@ def binomial_deviation_tail(r: int, p: float, deviation: float) -> float:
     summation of the probability mass function."""
     r = errors.count("r", r, 1)
     errors.open_unit("p", p)
-    if math.isnan(deviation):
+    if math.isnan(errors.real("deviation", deviation)):
         raise ValueError("deviation must not be NaN")
     theta = r * p
     return float(sum(math.comb(r, k) * p ** k * (1.0 - p) ** (r - k)

@@ -20,40 +20,28 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import count
+from .errors import count, real
 from .rng import generator
 
 Edge = tuple[int, int]
 
-_CONFLICT_KINDS = ("none", "uniform-k")
-
 
 @dataclass(frozen=True)
 class ConflictSpec:
-    """Law of the conflict-set family used by :func:`sample_instance`.
-
-    ``none`` leaves every ``T(v)`` empty; ``uniform-k`` draws ``k`` partners
-    per vertex uniformly without replacement and then symmetrizes the family
-    by union.
+    """Law of the conflict-set family used by :func:`sample_instance`: each
+    vertex draws ``k`` partners uniformly without replacement, and the family
+    is then symmetrized by union.  ``k = 0``, the default, draws nothing, so
+    every ``T(v)`` is empty.
     """
 
-    kind: str = "none"
     k: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "k", count("k", self.k, 0))
-        if self.kind not in _CONFLICT_KINDS:
-            raise ValueError(f"unknown conflict kind {self.kind!r}; expected one of {_CONFLICT_KINDS}")
-        if self.kind == "none" and self.k != 0:
-            raise ValueError("conflict kind 'none' takes k=0")
-
-    @classmethod
-    def none(cls) -> "ConflictSpec":
-        return cls("none", 0)
 
     @classmethod
     def uniform(cls, k: int) -> "ConflictSpec":
-        return cls("uniform-k", k)
+        return cls(k)
 
 
 @dataclass(frozen=True)
@@ -216,10 +204,10 @@ def sample_instance(m: int, p: float, spec: ConflictSpec | None = None,
     ``(m, p, spec, seed)`` yield bit-identical instances.
     """
     m = count("m", m, 1)
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= real("p", p) <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    spec = spec or ConflictSpec.none()
-    if spec.kind == "uniform-k" and spec.k > m - 1:
+    spec = spec or ConflictSpec()
+    if spec.k > m - 1:
         raise ValueError(f"uniform-k spec needs k <= m-1, got k={spec.k}, m={m}")
 
     rng = generator(seed)

@@ -42,7 +42,7 @@ def test_criterion_1_exact_solver_matches_enumeration():
         m = 9 + idx % 6                      # 9..14
         p = [0.2, 0.5, 0.8][idx % 3]
         k = idx % 3
-        spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+        spec = ConflictSpec.uniform(k)
         inst = sample_instance(m, p, spec, seed=derive_seed(1001, idx))
         if max_nice_exact(inst).size != enumerate_max_nice(inst):
             mismatches += 1
@@ -92,7 +92,7 @@ def test_criterion_3_success_probability_bound():
         n = int(rng.integers(3, 9))
         p = float(rng.uniform(0.1, 0.9))
         k = int(rng.integers(0, min(3, n)))
-        spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+        spec = ConflictSpec.uniform(k)
         inst = sample_instance(n, p, spec, seed=derive_seed(888, sys_idx, 1))
         system = instance_system(inst)
         table = fraction_table(system, n - 1)
@@ -113,7 +113,7 @@ def test_criterion_3_success_probability_bound():
 def test_criterion_4_upper_bound_experiment():
     started = time.monotonic()
     cfg = ExperimentConfig(m=40, p=0.5, gamma=1.0, trials=200, seed=4,
-                           conflicts=ConflictSpec.none(), solver="exact")
+                           conflicts=ConflictSpec.uniform(0), solver="exact")
     rep = run_bound_experiment(cfg)
     elapsed = time.monotonic() - started
     claimed = 40.0 ** -1.0
@@ -206,7 +206,7 @@ def test_criterion_9_cli_reproducibility(tmp_path, capsys):
     csv_path.write_text("a,b,c\n" + "\n".join(",".join(f"{x:.10g}" for x in row)
                                               for row in rows) + "\n")
     commands = {
-        "bounds": ["bounds", "--m", "100", "--p", "0.5", "--gamma", "1", "--seed", "9"],
+        "bounds": ["bounds", "--m", "100", "--p", "0.5", "--gamma", "1"],
         "simulate-upper": ["simulate-upper", "--m", "12", "--p", "0.5",
                            "--conflict", "uniform-k", "--k", "2",
                            "--trials", "8", "--seed", "9"],

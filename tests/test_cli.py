@@ -190,6 +190,14 @@ def test_missing_subcommand_exits_one(capsys):
     assert "usage" in err.lower()
 
 
+def test_bounds_takes_no_seed(capsys):
+    # the bounds are closed forms: a seed would be read by nothing
+    code, out, err = run_cli(capsys, ["bounds", "--m", "10", "--p", "0.5", "--seed", "5"])
+    assert (code, out) == (1, "")
+    assert "usage" in err.lower()
+    assert "error: unrecognized arguments: --seed 5" in err
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run_cli(capsys, ["simulate-upper", "--m", "10", "--p", "1.5",
                                     "--trials", "2"])
@@ -210,6 +218,11 @@ def test_domain_error_exits_one(capsys):
     (["chernoff", "--r", "-3", "--p", "0.5"], "r must be at least 1"),
     (["chernoff", "--r", "10", "--p", "0.5", "--seed", "-1"],
      "seeds and derivation indices must be non-negative"),
+    # --k is read only with --conflict uniform-k, so it is rejected without it
+    (["simulate-lower", "--m", "12", "--p", "0.3", "--trials", "3", "--seed", "1", "--k", "2"],
+     "--k 2 needs --conflict uniform-k"),
+    (["simulate-lower", "--m", "12", "--p", "0.3", "--trials", "3", "--seed", "1",
+      "--conflict", "none", "--k", "2"], "--k 2 needs --conflict uniform-k"),
 ])
 def test_non_finite_bound_parameters_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

@@ -27,7 +27,7 @@ def random_instance_system(seed, n_max=8):
     n = int(rng.integers(2, n_max + 1))
     p = float(rng.uniform(0.05, 0.95))
     k = int(rng.integers(0, min(3, n)))
-    spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+    spec = ConflictSpec.uniform(k)
     inst = sample_instance(n, p, spec, seed=derive_seed(seed, 1))
     return instance_system(inst), inst
 
@@ -462,7 +462,7 @@ def reference_instance_system(inst):
 def test_instance_system_matches_the_pairwise_edge_builder(p):
     for n in range(1, 11):
         for k in range(min(2, n - 1) + 1):
-            spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+            spec = ConflictSpec.uniform(k)
             for seed in range(3):
                 inst = sample_instance(n, p, spec, seed=derive_seed(606, 100 * n + 10 * k + seed))
                 system, reference = instance_system(inst), reference_instance_system(inst)

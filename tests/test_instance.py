@@ -17,14 +17,13 @@ from .conftest import reference_adjacency
 
 
 def test_conflict_spec_validation():
-    assert ConflictSpec.none().kind == "none"
+    assert [f.name for f in dataclasses.fields(ConflictSpec)] == ["k"]
+    assert ConflictSpec() == ConflictSpec.uniform(0)
     assert ConflictSpec.uniform(2).k == 2
-    with pytest.raises(ValueError):
-        ConflictSpec("bogus")
-    with pytest.raises(ValueError):
-        ConflictSpec("uniform-k", -1)
-    with pytest.raises(ValueError):
-        ConflictSpec("none", 3)
+    with pytest.raises(ValueError, match=r"\bk\b"):
+        ConflictSpec(-1)
+    with pytest.raises(TypeError):
+        ConflictSpec(2.5)
 
 
 def test_sample_p_zero_and_one():
@@ -61,7 +60,7 @@ def test_sample_rejects_bad_arguments():
        seed=st.integers(0, 2**32 - 1))
 def test_sampled_instances_satisfy_invariants(m, p, k, seed):
     k = min(k, m - 1)
-    spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+    spec = ConflictSpec.uniform(k)
     inst = sample_instance(m, p, spec, seed=seed)
     for u, v in inst.edges:
         assert 1 <= u < v <= m
@@ -151,7 +150,7 @@ def test_union_conflict_graph_examples():
        seed=st.integers(0, 2**16))
 def test_nice_iff_stable_in_union_graph(m, p, k, seed):
     k = min(k, m - 1)
-    spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+    spec = ConflictSpec.uniform(k)
     inst = sample_instance(m, p, spec, seed=seed)
     adjacency = reference_adjacency(inst)
     for mask in range(1 << m):
@@ -163,7 +162,7 @@ def test_nice_iff_stable_in_union_graph(m, p, k, seed):
 @pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3, 60, 61, 200) for k in (0, 1, 2)
                                   if k <= m - 1])
 def test_sampled_adjacency_matches_a_rebuild_from_the_fields(m, k):
-    spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+    spec = ConflictSpec.uniform(k)
     for seed in range(5):
         inst = sample_instance(m, 0.1, spec, seed=seed)
         assert "adjacency" in vars(inst)  # filled by the constructor

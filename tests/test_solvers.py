@@ -40,7 +40,7 @@ def test_exact_matches_enumeration_on_seeded_instances():
         m = 6 + idx % 7
         p = [0.2, 0.5, 0.8][idx % 3]
         k = idx % 3
-        spec = ConflictSpec.uniform(min(k, m - 1)) if k else ConflictSpec.none()
+        spec = ConflictSpec.uniform(min(k, m - 1))
         inst = sample_instance(m, p, spec, seed=derive_seed(77, idx))
         assert max_nice_exact(inst).size == enumerate_max_nice(inst)
 
@@ -127,7 +127,7 @@ def test_exact_stack_search_matches_the_recursive_search():
     for idx in range(126):
         m = 1 + (idx * 37) % 70
         k = min(idx % 3, m - 1)
-        spec = ConflictSpec.uniform(k) if k else ConflictSpec.none()
+        spec = ConflictSpec.uniform(k)
         inst = sample_instance(m, ps[idx % 7], spec, seed=derive_seed(31, idx))
         assert max_nice_exact(inst) == reference_recursive_exact(inst)
         for budget in (1, 3, 50, 500):
@@ -167,7 +167,7 @@ def test_greedy_trivial_graphs():
 @given(m=st.integers(1, 12), p=st.floats(0.0, 1.0), k=st.integers(0, 2),
        seed=st.integers(0, 2**16))
 def test_greedy_output_is_nice_and_maximal(m, p, k, seed):
-    spec = ConflictSpec.uniform(min(k, m - 1)) if k else ConflictSpec.none()
+    spec = ConflictSpec.uniform(min(k, m - 1))
     inst = sample_instance(m, p, spec, seed=seed)
     result = greedy_nice(inst)
     assert is_nice(result.vertices, inst)
@@ -221,7 +221,7 @@ def reference_randomized_scan(inst, max_restarts, seed):
        k=st.sampled_from([0, 1, 2]), max_restarts=st.sampled_from([1, 7, 100]),
        seed=st.integers(0, 2**32))
 def test_randomized_matches_reference_scan(m, p, k, max_restarts, seed):
-    spec = ConflictSpec.uniform(min(k, m - 1)) if k and m > 1 else ConflictSpec.none()
+    spec = ConflictSpec.uniform(min(k, m - 1))
     inst = sample_instance(m, p, spec, seed=derive_seed(seed, 0))
     assert randomized_nice(inst, max_restarts, seed) == \
         reference_randomized_scan(inst, max_restarts, seed)
@@ -258,7 +258,7 @@ def reference_row_scan(inst, max_restarts, seed):
        k=st.sampled_from([0, 1, 2]), max_restarts=st.sampled_from([1, 7, 100]),
        seed=st.integers(0, 2**32))
 def test_randomized_matches_the_per_row_scan(m, p, k, max_restarts, seed):
-    spec = ConflictSpec.uniform(min(k, m - 1)) if k and m > 1 else ConflictSpec.none()
+    spec = ConflictSpec.uniform(min(k, m - 1))
     inst = sample_instance(m, p, spec, seed=derive_seed(seed, 1))
     assert randomized_nice(inst, max_restarts, seed) == \
         reference_row_scan(inst, max_restarts, seed)

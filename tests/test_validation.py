@@ -1,8 +1,10 @@
-"""Every count and probability parameter of the public API, held to one rule.
+"""Every count, real and probability parameter of the public API, held to one rule.
 
 A count that is not an integer (``2.5``, NaN, ``"3"``) raises ``TypeError``
-and one below its minimum ``ValueError``; a probability outside its interval,
-NaN included, raises ``ValueError``.  Each message names the parameter.
+and one below its minimum ``ValueError``; a real parameter that is not a real
+number (``"0.5"``, ``None``) raises ``TypeError``; a probability outside its
+interval, NaN included, raises ``ValueError``.  Each message names the
+parameter.
 """
 
 import math
@@ -14,8 +16,9 @@ import pytest
 from niceset import (BoundParams, ConflictSpec, ExperimentConfig, FeatureMatrix, Instance,
                      attempt_success_bound, binomial_deviation_tail,
                      brute_force_mutually_good, build_instance, check_goodness_axioms,
-                     conflict_sets, construction_success_bound, fraction_table,
-                     instance_system, lower_size_threshold, max_nice_exact,
+                     chernoff_bound, collinearity_graph, conflict_sets,
+                     construction_success_bound, fraction_table, instance_system,
+                     lower_size_threshold, max_nice_exact, pearson_matrix,
                      randomized_construct, randomized_nice, run_chernoff_check,
                      run_lemma_verification, sample_instance, select_features,
                      upper_size_threshold, vif)
@@ -30,7 +33,7 @@ COUNTS = [
     (BoundParams, "m", 2, lambda v: BoundParams(m=v, p=0.5)),
     (upper_size_threshold, "m", 2, lambda v: upper_size_threshold(v, 0.5, 1.0)),
     (lower_size_threshold, "m", 2, lambda v: lower_size_threshold(v, 0.5, 0.25, 1.0)),
-    (ConflictSpec, "k", 0, lambda v: ConflictSpec("uniform-k", v)),
+    (ConflictSpec, "k", 0, lambda v: ConflictSpec(v)),
     (ConflictSpec.uniform, "k", 0, ConflictSpec.uniform),
     (Instance, "m", 1, Instance),
     (sample_instance, "m", 1, lambda v: sample_instance(v, 0.5)),
@@ -76,6 +79,30 @@ OPEN_UNIT = [
     (binomial_deviation_tail, "p", lambda v: binomial_deviation_tail(3, v, 1.0)),
 ]
 
+# (callable, parameter, call with the parameter set to a value): every other
+# real parameter, each checked by a comparison after it is typed
+REALS = [
+    (BoundParams, "gamma", lambda v: BoundParams(m=10, p=0.5, gamma=v)),
+    (BoundParams, "delta", lambda v: BoundParams(m=10, p=0.5, delta=v)),
+    (BoundParams, "tau", lambda v: BoundParams(m=10, p=0.5, tau=v)),
+    (upper_size_threshold, "gamma", lambda v: upper_size_threshold(10, 0.5, v)),
+    (lower_size_threshold, "delta", lambda v: lower_size_threshold(10, 0.5, v, 1.0)),
+    (lower_size_threshold, "tau", lambda v: lower_size_threshold(10, 0.5, 0.25, v)),
+    (ExperimentConfig, "gamma", lambda v: ExperimentConfig(m=10, p=0.5, gamma=v)),
+    (ExperimentConfig, "delta", lambda v: ExperimentConfig(m=10, p=0.5, delta=v)),
+    (chernoff_bound, "gamma", lambda v: chernoff_bound(3.0, v)),
+    (chernoff_bound, "theta_r", lambda v: chernoff_bound(v, 0.2)),
+    (run_chernoff_check, "gamma", lambda v: run_chernoff_check(10, 0.5, v, 10)),
+    (sample_instance, "p", lambda v: sample_instance(5, v)),
+    (binomial_deviation_tail, "deviation", lambda v: binomial_deviation_tail(3, 0.5, v)),
+    (collinearity_graph, "lambda_c", lambda v: collinearity_graph(pearson_matrix(FM), v)),
+    (build_instance, "lambda_c", lambda v: build_instance(FM, v, 5.0)),
+    (select_features, "lambda_c", lambda v: select_features(FM, v, 5.0)),
+    (conflict_sets, "lambda_mc", lambda v: conflict_sets(FM, v)),
+    (build_instance, "lambda_mc", lambda v: build_instance(FM, 0.9, v)),
+    (select_features, "lambda_mc", lambda v: select_features(FM, 0.9, v)),
+]
+
 
 def _cases():
     for owner, name, minimum, call in COUNTS:
@@ -90,6 +117,10 @@ def _cases():
         yield sample_instance, "p", lambda v: sample_instance(5, v), bad, ValueError
     yield (binomial_deviation_tail, "deviation",
            lambda v: binomial_deviation_tail(3, 0.5, v), math.nan, ValueError)
+    # a real parameter is typed before it is compared
+    for owner, name, call in OPEN_UNIT + REALS:
+        for bad in ("0.5", None):
+            yield owner, name, call, bad, TypeError
 
 
 CASES = list(_cases())
