@@ -9,8 +9,8 @@ instances from numeric datasets via correlation thresholding and variance
 inflation factors.
 """
 
-from .bounds import (BoundParams, BoundValue, chernoff_bound, lower_size_threshold,
-                     size_lower_bound, size_upper_bound, upper_size_threshold)
+from .bounds import (BoundParams, BoundValue, chernoff_bound, size_lower_bound,
+                     size_upper_bound)
 from .errors import BudgetError, CsvError
 from .features import (FeatureMatrix, SelectionReport, build_instance,
                        collinearity_graph, conflict_sets, load_csv, pearson_matrix,
@@ -42,9 +42,8 @@ __all__ = [
     "construction_success_bound", "derive_seed", "existence_violations",
     "fraction_table", "good_set", "graph_system", "greedy_nice", "h_set",
     "instance_system", "is_constrained", "is_mutually_good", "is_nice",
-    "load_csv", "lower_size_threshold", "max_nice_exact", "pearson_matrix",
-    "randomized_construct", "randomized_nice", "run_bound_experiment",
-    "run_chernoff_check", "run_lemma_verification", "sample_instance",
-    "select_features", "size_lower_bound", "size_upper_bound", "solve",
-    "system_from_singletons", "upper_size_threshold", "vif",
+    "load_csv", "max_nice_exact", "pearson_matrix", "randomized_construct",
+    "randomized_nice", "run_bound_experiment", "run_chernoff_check",
+    "run_lemma_verification", "sample_instance", "select_features", "size_lower_bound",
+    "size_upper_bound", "solve", "system_from_singletons", "vif",
 ]

@@ -43,10 +43,11 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A bound together with the probability that it fails to hold."""
+    """A bound, the probability that it fails, and its integer threshold."""
 
     value: float
     failure_prob: float
+    threshold: int
 
 
 def _log_odds_rate(p: float) -> float:
@@ -58,23 +59,26 @@ def size_upper_bound(params: BoundParams) -> BoundValue:
     """High-probability upper bound ``(2+gamma) * log(m) / |log(1-p)|``.
 
     The maximum nice-set size exceeds this value with probability at most
-    ``m**-gamma`` (the returned failure probability).
+    ``m**-gamma`` (the returned failure probability).  The threshold is
+    ``ceil(1 + value)``: the additive 1 is where ``m**-gamma`` is guaranteed.
     """
     value = (2.0 + params.gamma) * math.log(params.m) / _log_odds_rate(params.p)
-    return BoundValue(value=value, failure_prob=params.m ** -params.gamma)
+    return BoundValue(value=value, failure_prob=params.m ** -params.gamma,
+                      threshold=math.ceil(1.0 + value))
 
 
 def size_lower_bound(params: BoundParams) -> BoundValue:
     """High-probability lower bound
     ``(1-2*delta) * log(m)/|log(1-p)| - log(4*tau/p)/|log(1-p)|``.
 
-    May be negative at desk scale; callers clamp to 1 for empirical
-    comparison.  Fails with probability at most ``m**-delta``.
+    May be negative at desk scale, so the threshold is ``max(1, ceil(value))``.
+    Fails with probability at most ``m**-delta``.
     """
     rate = _log_odds_rate(params.p)
     value = ((1.0 - 2.0 * params.delta) * math.log(params.m)
              - math.log(4.0 * params.tau / params.p)) / rate
-    return BoundValue(value=value, failure_prob=params.m ** -params.delta)
+    return BoundValue(value=value, failure_prob=params.m ** -params.delta,
+                      threshold=max(1, math.ceil(value)))
 
 
 def chernoff_bound(theta_r: float, gamma: float) -> float:
@@ -86,18 +90,3 @@ def chernoff_bound(theta_r: float, gamma: float) -> float:
     if not real("theta_r", theta_r) > 0.0:  # negated, so that NaN fails it too
         raise ValueError("theta_r must be positive")
     return 2.0 * math.exp(-gamma * gamma * theta_r / 4.0)
-
-
-def upper_size_threshold(m: int, p: float, gamma: float) -> int:
-    """Integer threshold ``ceil(1 + (2+gamma) * log(m)/|log(1-p)|)``.
-
-    Uses the form with the additive 1, which is the threshold at which the
-    exceedance probability ``m**-gamma`` is actually guaranteed.
-    """
-    return math.ceil(1.0 + size_upper_bound(BoundParams(m=m, p=p, gamma=gamma)).value)
-
-
-def lower_size_threshold(m: int, p: float, delta: float, tau: float) -> int:
-    """Integer threshold ``max(1, ceil(size_lower_bound))`` for empirical use."""
-    value = size_lower_bound(BoundParams(m=m, p=p, delta=delta, tau=tau)).value
-    return max(1, math.ceil(value))

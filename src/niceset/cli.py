@@ -10,12 +10,12 @@ runs.  Exit codes: 0 success, 1 domain or parse error, 2 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 
-from .bounds import (BoundParams, lower_size_threshold, size_lower_bound,
-                     size_upper_bound, upper_size_threshold)
+from .bounds import BoundParams, size_lower_bound, size_upper_bound
 from .errors import BudgetError
 from .features import load_csv, select_features
 from .harness import (ExperimentConfig, run_bound_experiment, run_chernoff_check,
@@ -188,16 +188,13 @@ def _cmd_bounds(args) -> None:
         "schema": SCHEMA_VERSION, "kind": "bounds",
         "m": args.m, "p": args.p, "gamma": args.gamma, "delta": args.delta,
         "tau": args.tau,
-        "upper": {"value": upper.value, "failure_prob": upper.failure_prob,
-                  "threshold": upper_size_threshold(args.m, args.p, args.gamma)},
-        "lower": {"value": lower.value, "failure_prob": lower.failure_prob,
-                  "threshold": lower_size_threshold(args.m, args.p, args.delta, args.tau)},
+        "upper": dataclasses.asdict(upper),
+        "lower": dataclasses.asdict(lower),
     }
     lines = [
         f"size upper bound: {_fmt(upper.value)} (failure probability {_fmt(upper.failure_prob)})",
         f"size lower bound: {_fmt(lower.value)} (failure probability {_fmt(lower.failure_prob)})",
-        f"integer thresholds: upper {report['upper']['threshold']}, "
-        f"lower {report['lower']['threshold']}",
+        f"integer thresholds: upper {upper.threshold}, lower {lower.threshold}",
     ]
     _emit(report, args, lines)
 

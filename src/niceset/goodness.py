@@ -338,9 +338,9 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
 
     ``mode="exhaustive"`` checks all unordered pairs (requires ``N <= 12``);
     ``mode="sampled"`` checks ``samples`` (at least 1) uniformly drawn
-    pairs; exhaustive mode ignores the value of ``samples``.  The report
-    lists violating pairs, truncated after the first 50, and counts the
-    pairs checked up to that point.
+    pairs and requires ``N <= 63``; exhaustive mode ignores the value of
+    ``samples``.  The report lists violating pairs, truncated after the
+    first 50, and counts the pairs checked up to that point.
     """
     samples = count("samples", samples, -math.inf)  # typed in both modes; bounded in sampled mode
     if mode not in ("exhaustive", "sampled"):
@@ -387,6 +387,8 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
                                    truncated=True)
         return AxiomReport(checked_pairs=checked, violations=tuple(violations))
 
+    if n > 63:  # masks are drawn as int64
+        raise ValueError(f"sampled mode requires N <= 63, got N={n}")
     rng = generator(seed)
     violations = []
     for checked in range(1, samples + 1):

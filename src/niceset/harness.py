@@ -12,12 +12,11 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import errors  # qualified: run_lemma_verification has a parameter `count`
-from .bounds import (BoundParams, chernoff_bound, lower_size_threshold,
-                     size_lower_bound, size_upper_bound, upper_size_threshold)
+from .bounds import BoundParams, chernoff_bound, size_lower_bound, size_upper_bound
 from .errors import BudgetError
 from .goodness import (GoodnessSystem, brute_force_mutually_good, fraction_table,
                        instance_system)
-from .instance import METHODS, ConflictSpec, sample_instance
+from .instance import METHODS, ConflictSpec, _conflict_spec, sample_instance
 from .rng import _seed, derive_seed, generator
 from .solvers import solve
 
@@ -43,6 +42,7 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _seed(self.seed))
         if self.solver not in METHODS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        object.__setattr__(self, "conflicts", _conflict_spec("conflicts", self.conflicts, self.m))
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,10 @@ def _binomial_stderr(fraction: float, trials: int) -> float:
 
 def run_bound_experiment(cfg: ExperimentConfig) -> BoundReport:
     """Sample ``trials`` instances, solve each, and read the sizes against
-    both thresholds: the fraction reaching the upper threshold versus the
-    claimed failure probability ``m**-gamma``, and the fraction falling below
-    ``max(1, ceil(size_lower_bound))`` versus ``m**-delta``.  ``tau`` is
-    estimated as the mean over trials of ``max_v |T(v)|`` (at least 1).  A
+    both bounds' :attr:`BoundValue.threshold`: the fraction reaching the
+    upper threshold versus the claimed failure probability ``m**-gamma``, and
+    the fraction falling below the lower one versus ``m**-delta``.  ``tau``
+    is estimated as the mean over trials of ``max_v |T(v)|`` (at least 1).  A
     solver over its budget raises :class:`BudgetError` naming the trial."""
     seeds, sizes, max_conflicts = [], [], []
     for t in range(cfg.trials):
@@ -101,22 +101,21 @@ def run_bound_experiment(cfg: ExperimentConfig) -> BoundReport:
     tau = max(1.0, mean_max)
     tau_std = math.sqrt(sum((x - mean_max) ** 2 for x in max_conflicts) / len(max_conflicts))
 
-    threshold_upper = upper_size_threshold(cfg.m, cfg.p, cfg.gamma)
-    threshold_lower = lower_size_threshold(cfg.m, cfg.p, cfg.delta, tau)
-    frac_up = sum(1 for s in sizes if s >= threshold_upper) / cfg.trials
-    frac_lo = sum(1 for s in sizes if s < threshold_lower) / cfg.trials
+    params = BoundParams(m=cfg.m, p=cfg.p, gamma=cfg.gamma, delta=cfg.delta, tau=tau)
+    upper = size_upper_bound(params)
+    lower = size_lower_bound(params)
+    frac_up = sum(1 for s in sizes if s >= upper.threshold) / cfg.trials
+    frac_lo = sum(1 for s in sizes if s < lower.threshold) / cfg.trials
     return BoundReport(
         m=cfg.m, p=cfg.p, gamma=cfg.gamma, delta=cfg.delta, trials=cfg.trials,
         solver=cfg.solver, master_seed=cfg.seed, seeds=tuple(seeds),
         empirical=tuple(sizes), tau_estimate=tau, tau_std=tau_std,
-        threshold_upper=threshold_upper, threshold_lower=threshold_lower,
+        threshold_upper=upper.threshold, threshold_lower=lower.threshold,
         frac_exceed_upper=frac_up, frac_below_lower=frac_lo,
         stderr_exceed_upper=_binomial_stderr(frac_up, cfg.trials),
         stderr_below_lower=_binomial_stderr(frac_lo, cfg.trials),
-        claimed_upper_failure=size_upper_bound(
-            BoundParams(m=cfg.m, p=cfg.p, gamma=cfg.gamma)).failure_prob,
-        claimed_lower_failure=size_lower_bound(
-            BoundParams(m=cfg.m, p=cfg.p, delta=cfg.delta, tau=tau)).failure_prob,
+        claimed_upper_failure=upper.failure_prob,
+        claimed_lower_failure=lower.failure_prob,
     )
 
 

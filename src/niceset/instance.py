@@ -194,6 +194,17 @@ class NiceSetResult:
             raise ValueError("size does not match the vertex set")
 
 
+def _conflict_spec(name: str, spec: ConflictSpec | None, m: int) -> ConflictSpec:
+    """``spec`` checked for ``m`` vertices; ``None`` is ``ConflictSpec()``."""
+    if spec is None:
+        return ConflictSpec()
+    if not isinstance(spec, ConflictSpec):
+        raise TypeError(f"{name} must be a ConflictSpec, got {type(spec).__name__}")
+    if spec.k > m - 1:
+        raise ValueError(f"uniform-k spec needs k <= m-1, got k={spec.k}, m={m}")
+    return spec
+
+
 def sample_instance(m: int, p: float, spec: ConflictSpec | None = None,
                     seed: int = 0) -> Instance:
     """Draw an instance with i.i.d. edge indicators and conflicts per ``spec``.
@@ -206,9 +217,7 @@ def sample_instance(m: int, p: float, spec: ConflictSpec | None = None,
     m = count("m", m, 1)
     if not 0.0 <= real("p", p) <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    spec = spec or ConflictSpec()
-    if spec.k > m - 1:
-        raise ValueError(f"uniform-k spec needs k <= m-1, got k={spec.k}, m={m}")
+    spec = _conflict_spec("spec", spec, m)
 
     rng = generator(seed)
     iu, jv = np.triu_indices(m, k=1)

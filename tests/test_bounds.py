@@ -6,8 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from niceset import (BoundParams, chernoff_bound, lower_size_threshold,
-                     size_lower_bound, size_upper_bound, upper_size_threshold)
+from niceset import BoundParams, chernoff_bound, size_lower_bound, size_upper_bound
 
 # Frozen from mpmath at 50 digits (see the oracle helpers below).
 UPPER_100 = 19.931568569324174087
@@ -104,7 +103,7 @@ def test_bound_params_rejects_non_integer_m():
     with pytest.raises(TypeError):
         BoundParams(m=2.5, p=0.5)
     with pytest.raises(TypeError):
-        upper_size_threshold(math.nan, 0.5, 1.0)
+        BoundParams(m=math.nan, p=0.5)
 
 
 @given(m=st.integers(2, 10**6), p=st.floats(0.01, 0.99),
@@ -148,6 +147,6 @@ def test_lower_strictly_decreasing_in_tau(m, p, t1, t2):
 
 
 def test_integer_thresholds():
-    assert upper_size_threshold(40, 0.5, 1.0) == 17
-    assert lower_size_threshold(40, 0.5, 0.25, 1.0) == 1
-    assert lower_size_threshold(10**6, 0.1, 0.05, 10.0) == 62
+    assert size_upper_bound(BoundParams(m=40, p=0.5, gamma=1.0)).threshold == 17
+    assert size_lower_bound(BoundParams(m=40, p=0.5, delta=0.25, tau=1.0)).threshold == 1
+    assert size_lower_bound(BoundParams(m=10**6, p=0.1, delta=0.05, tau=10.0)).threshold == 62

@@ -223,6 +223,8 @@ def test_domain_error_exits_one(capsys):
      "--k 2 needs --conflict uniform-k"),
     (["simulate-lower", "--m", "12", "--p", "0.3", "--trials", "3", "--seed", "1",
       "--conflict", "none", "--k", "2"], "--k 2 needs --conflict uniform-k"),
+    (["simulate-lower", "--m", "10", "--p", "0.5", "--conflict", "uniform-k", "--k", "10"],
+     "uniform-k spec needs k <= m-1, got k=10, m=10"),
 ])
 def test_non_finite_bound_parameters_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

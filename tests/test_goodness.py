@@ -389,6 +389,11 @@ def test_axiom_check_sampled_mode_and_validation(path_system):
     with pytest.raises(ValueError):
         check_goodness_axioms(big, mode="exhaustive")
     assert check_goodness_axioms(big, mode="sampled", samples=200, seed=0).ok
+    # subset masks are drawn as int64, so 63 elements is the largest sampled universe
+    assert check_goodness_axioms(edgeless_system(63), mode="sampled", samples=20, seed=0).ok
+    for n in (64, 70):
+        with pytest.raises(ValueError, match=rf"^sampled mode requires N <= 63, got N={n}$"):
+            check_goodness_axioms(edgeless_system(n), mode="sampled", samples=20, seed=0)
     for mode in ("exhaustive", "sampled"):
         for bad in (2.5, nan):
             with pytest.raises(TypeError):

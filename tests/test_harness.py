@@ -20,6 +20,13 @@ def test_config_validation():
         ExperimentConfig(m=10, p=0.5, solver="bogus")
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, p=1.0)
+    with pytest.raises(TypeError, match=r"^conflicts must be a ConflictSpec, got int$"):
+        ExperimentConfig(m=10, p=0.5, conflicts=3)
+    # a spec with more partners than other vertices fails at construction, not at trial 0
+    with pytest.raises(ValueError, match=r"^uniform-k spec needs k <= m-1, got k=10, m=10$"):
+        ExperimentConfig(m=10, p=0.5, conflicts=ConflictSpec(10))
+    assert ExperimentConfig(m=10, p=0.5, conflicts=ConflictSpec(9)).conflicts.k == 9
+    assert ExperimentConfig(m=10, p=0.5, conflicts=None).conflicts == ConflictSpec()
     # any m runs the exact solver; only its node budget limits it
     report = run_bound_experiment(ExperimentConfig(m=61, p=0.5, trials=2, solver="exact"))
     assert len(report.empirical) == 2 and min(report.empirical) >= 1

@@ -53,6 +53,9 @@ def test_sample_rejects_bad_arguments():
     for bad_m in (2.5, float("nan")):
         with pytest.raises(TypeError):  # operator.index, not numpy, rejects it
             sample_instance(bad_m, 0.5)
+    for bad_spec in (2, 0, 1.0, "uniform-k"):  # a bare partner count, 0 included, is no spec
+        with pytest.raises(TypeError, match=r"^spec must be a ConflictSpec, got "):
+            sample_instance(5, 0.5, bad_spec)
 
 
 @settings(max_examples=40, deadline=None)

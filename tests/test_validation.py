@@ -18,10 +18,9 @@ from niceset import (BoundParams, ConflictSpec, ExperimentConfig, FeatureMatrix,
                      brute_force_mutually_good, build_instance, check_goodness_axioms,
                      chernoff_bound, collinearity_graph, conflict_sets,
                      construction_success_bound, fraction_table, instance_system,
-                     lower_size_threshold, max_nice_exact, pearson_matrix,
-                     randomized_construct, randomized_nice, run_chernoff_check,
-                     run_lemma_verification, sample_instance, select_features,
-                     upper_size_threshold, vif)
+                     max_nice_exact, pearson_matrix, randomized_construct,
+                     randomized_nice, run_chernoff_check, run_lemma_verification,
+                     sample_instance, select_features, vif)
 
 INSTANCE = Instance(4, edges=[(1, 2)], conflicts={3: [4]})
 SYSTEM = instance_system(sample_instance(5, 0.5, seed=1))
@@ -31,8 +30,6 @@ FM = FeatureMatrix(names=("a", "b", "c"), data=np.random.default_rng(0).normal(s
 # (callable, parameter, minimum, call with the parameter set to a value)
 COUNTS = [
     (BoundParams, "m", 2, lambda v: BoundParams(m=v, p=0.5)),
-    (upper_size_threshold, "m", 2, lambda v: upper_size_threshold(v, 0.5, 1.0)),
-    (lower_size_threshold, "m", 2, lambda v: lower_size_threshold(v, 0.5, 0.25, 1.0)),
     (ConflictSpec, "k", 0, lambda v: ConflictSpec(v)),
     (ConflictSpec.uniform, "k", 0, ConflictSpec.uniform),
     (Instance, "m", 1, Instance),
@@ -72,8 +69,6 @@ COUNTS = [
 # run_chernoff_check's ``bernoulli_p`` is ``p`` on the command line and in its report
 OPEN_UNIT = [
     (BoundParams, "p", lambda v: BoundParams(m=10, p=v)),
-    (upper_size_threshold, "p", lambda v: upper_size_threshold(10, v, 1.0)),
-    (lower_size_threshold, "p", lambda v: lower_size_threshold(10, v, 0.25, 1.0)),
     (ExperimentConfig, "p", lambda v: ExperimentConfig(m=10, p=v)),
     (run_chernoff_check, "p", lambda v: run_chernoff_check(10, v, 0.5, 10)),
     (binomial_deviation_tail, "p", lambda v: binomial_deviation_tail(3, v, 1.0)),
@@ -85,9 +80,6 @@ REALS = [
     (BoundParams, "gamma", lambda v: BoundParams(m=10, p=0.5, gamma=v)),
     (BoundParams, "delta", lambda v: BoundParams(m=10, p=0.5, delta=v)),
     (BoundParams, "tau", lambda v: BoundParams(m=10, p=0.5, tau=v)),
-    (upper_size_threshold, "gamma", lambda v: upper_size_threshold(10, 0.5, v)),
-    (lower_size_threshold, "delta", lambda v: lower_size_threshold(10, 0.5, v, 1.0)),
-    (lower_size_threshold, "tau", lambda v: lower_size_threshold(10, 0.5, 0.25, v)),
     (ExperimentConfig, "gamma", lambda v: ExperimentConfig(m=10, p=0.5, gamma=v)),
     (ExperimentConfig, "delta", lambda v: ExperimentConfig(m=10, p=0.5, delta=v)),
     (chernoff_bound, "gamma", lambda v: chernoff_bound(3.0, v)),
