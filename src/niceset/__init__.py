@@ -18,13 +18,12 @@ from .features import (FeatureMatrix, SelectionReport, build_instance,
 from .goodness import (AxiomReport, AxiomViolation, FractionTable, GoodnessSystem,
                        attempt_success_bound, brute_force_mutually_good,
                        check_goodness_axioms, construction_success_bound,
-                       fraction_table, good_set, graph_system, h_set, instance_system,
-                       is_constrained, is_mutually_good, randomized_construct,
-                       system_from_singletons)
+                       existence_violations, fraction_table, graph_system, h_set,
+                       instance_system, is_constrained, is_mutually_good,
+                       randomized_construct, system_from_singletons)
 from .harness import (BoundReport, ChernoffReport, ExperimentConfig, LemmaReport,
-                      binomial_deviation_tail, existence_violations,
-                      run_bound_experiment, run_chernoff_check,
-                      run_lemma_verification)
+                      binomial_deviation_tail, run_bound_experiment,
+                      run_chernoff_check, run_lemma_verification)
 from .instance import ConflictSpec, Instance, NiceSetResult, is_nice, sample_instance
 from .rng import derive_seed
 from .solvers import greedy_nice, max_nice_exact, randomized_nice, solve
@@ -40,7 +39,7 @@ __all__ = [
     "brute_force_mutually_good", "build_instance", "check_goodness_axioms",
     "chernoff_bound", "collinearity_graph", "conflict_sets",
     "construction_success_bound", "derive_seed", "existence_violations",
-    "fraction_table", "good_set", "graph_system", "greedy_nice", "h_set",
+    "fraction_table", "graph_system", "greedy_nice", "h_set",
     "instance_system", "is_constrained", "is_mutually_good", "is_nice",
     "load_csv", "max_nice_exact", "pearson_matrix", "randomized_construct",
     "randomized_nice", "run_bound_experiment", "run_chernoff_check",

@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,6 +38,8 @@ from .errors import BudgetError, count
 from .instance import Instance
 from .rng import generator
 
+SUBSET_BUDGET = 2_000_000  # subsets one enumeration may visit
+
 
 @dataclass(frozen=True)
 class GoodnessSystem:
@@ -142,11 +144,6 @@ def instance_system(inst: Instance) -> GoodnessSystem:
     return system_from_singletons(vertices, singleton_good, g, values={0, 1}, accepting={0})
 
 
-def good_set(system: GoodnessSystem, s: Iterable) -> frozenset:
-    """``f(s)``: the elements good with respect to ``s``."""
-    return system.f(frozenset(s))
-
-
 def is_mutually_good(system: GoodnessSystem, s: Iterable) -> bool:
     """Pairwise test: every element of ``s`` is good for every other one."""
     members = list(frozenset(s))
@@ -206,32 +203,54 @@ class FractionTable:
         return self.q[count("i", i, 1) - 1]
 
 
+def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int):
+    """Yield ``(p_i, q_i)`` for ``i = 1..up_to``, each as soon as the sets of
+    size ``i`` are enumerated; the budget covers every size up front."""
+    n = system.size
+    if sum(math.comb(n, j) for j in range(up_to + 1)) > max_subsets:
+        raise BudgetError(
+            f"enumerating subsets of size <= {up_to} over {n} elements "
+            f"exceeds the budget of {max_subsets}")
+    # The empty set counts at every i: f(empty) is the universe, h(empty) need not be empty.
+    fewest_good, most_rejected = n, len(h_set(system, ()))
+    for size in range(1, up_to + 1):
+        for s in _constrained_sets(system, size):
+            fewest_good = min(fewest_good, len(system.f(s)))
+            most_rejected = max(most_rejected, len(h_set(system, s)))
+        yield Fraction(fewest_good, n), Fraction(most_rejected, n)
+
+
 def fraction_table(system: GoodnessSystem, up_to: int,
-                   max_subsets: int = 2_000_000) -> FractionTable:
+                   max_subsets: int = SUBSET_BUDGET) -> FractionTable:
     """Exact ``p_i``/``q_i`` for ``i = 1..up_to`` in a single enumeration.
 
     ``p_i`` is the minimum of ``|f(I)| / N`` and ``q_i`` the maximum of
     ``|h(I)| / N`` over all B-constrained sets ``I`` with ``|I| <= i``, the
     empty set included.
     """
-    n = system.size
     up_to, max_subsets = count("up_to", up_to, 1), count("max_subsets", max_subsets, 1)
-    if up_to > n:
-        raise ValueError(f"up_to must be at most {n}, got {up_to}")
-    if sum(math.comb(n, j) for j in range(up_to + 1)) > max_subsets:
-        raise BudgetError(
-            f"enumerating subsets of size <= {up_to} over {n} elements "
-            f"exceeds the budget of {max_subsets}")
-    # Running extrema from size 0 on, so f(empty) and h(empty) count at every i.
-    fewest_good, most_rejected = n, 0
-    p, q = [], []
-    for size in range(up_to + 1):
-        for s in _constrained_sets(system, size):
-            fewest_good = min(fewest_good, len(system.f(s)))
-            most_rejected = max(most_rejected, len(h_set(system, s)))
-        p.append(Fraction(fewest_good, n))
-        q.append(Fraction(most_rejected, n))
-    return FractionTable(p=tuple(p[1:]), q=tuple(q[1:]))
+    if up_to > system.size:
+        raise ValueError(f"up_to must be at most {system.size}, got {up_to}")
+    p, q = zip(*_fractions(system, up_to, max_subsets))
+    return FractionTable(p=p, q=q)
+
+
+def existence_violations(system: GoodnessSystem) -> tuple[list[dict], int]:
+    """For every ``L`` with exact ``p[L-1] > q[L-1]``, require a mutually good
+    constrained set of cardinality ``L`` by brute force.
+
+    Returns the violations (each a dict with the failing ``L`` and the
+    fractions) and the number of cardinalities at which the condition fired.
+    """
+    fired = 0
+    violations: list[dict] = []
+    for L, (p, q) in enumerate(_fractions(system, system.size - 1, SUBSET_BUDGET), start=2):
+        if p <= q:  # p never increases and q never decreases, so no larger L fires
+            break
+        fired += 1
+        if brute_force_mutually_good(system, L) is None:
+            violations.append({"L": L, "p": str(p), "q": str(q), "N": system.size})
+    return violations, fired
 
 
 def construction_success_bound(table: FractionTable, L: int) -> Fraction:
@@ -297,7 +316,7 @@ def randomized_construct(system: GoodnessSystem, L: int, max_restarts: int,
 
 
 def brute_force_mutually_good(system: GoodnessSystem, L: int,
-                              max_subsets: int = 2_000_000) -> frozenset | None:
+                              max_subsets: int = SUBSET_BUDGET) -> frozenset | None:
     """First mutually good B-constrained set of cardinality exactly ``L`` in
     lexicographic universe order, or ``None`` if none exists."""
     L, max_subsets = count("L", L, 0), count("max_subsets", max_subsets, 1)

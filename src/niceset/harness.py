@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass
 from . import errors  # qualified: run_lemma_verification has a parameter `count`
 from .bounds import BoundParams, chernoff_bound, size_lower_bound, size_upper_bound
 from .errors import BudgetError
-from .goodness import (GoodnessSystem, brute_force_mutually_good, fraction_table,
-                       instance_system)
+from .goodness import existence_violations, instance_system
 from .instance import METHODS, ConflictSpec, _conflict_spec, sample_instance
 from .rng import _seed, derive_seed, generator
 from .solvers import solve
@@ -132,28 +131,6 @@ class LemmaReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "counterexamples": [dict(c) for c in self.counterexamples]}
-
-
-def existence_violations(system: GoodnessSystem) -> tuple[list[dict], int]:
-    """For every ``L`` with exact ``p[L-1] > q[L-1]``, require a mutually good
-    constrained set of cardinality ``L`` by brute force.
-
-    Returns the violations (each a dict with the failing ``L`` and the
-    fractions) and the number of cardinalities at which the condition fired.
-    """
-    n = system.size
-    if n < 2:
-        return [], 0
-    table = fraction_table(system, n - 1)
-    fired = 0
-    violations: list[dict] = []
-    for L in range(2, n + 1):
-        p_prev, q_prev = table.p_at(L - 1), table.q_at(L - 1)
-        if p_prev > q_prev:
-            fired += 1
-            if brute_force_mutually_good(system, L) is None:
-                violations.append({"L": L, "p": str(p_prev), "q": str(q_prev), "N": n})
-    return violations, fired
 
 
 def run_lemma_verification(count: int, n_max: int = 8, seed: int = 0) -> LemmaReport:

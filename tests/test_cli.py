@@ -231,6 +231,20 @@ def test_non_finite_bound_parameters_exit_one(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--m", "1" + "0" * 400, "--p", "0.5"],
+    ["bounds", "--m", "10", "--p", "5e-324"],
+    ["bounds", "--m", "100", "--p", "0.5", "--gamma", "1e308"],
+    ["simulate-upper", "--m", "10", "--p", "5e-324", "--trials", "1"],
+], ids=["huge-m", "tiny-p", "huge-gamma", "simulate-tiny-p"])
+def test_overflowing_bound_parameters_exit_one(capsys, argv):
+    # the bound formulas overflow a float here; the CLI must still print one
+    # error line, not a traceback
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_select_nan_vif_threshold_exits_one(capsys, tmp_path):
     rng = np.random.default_rng(4)
     csv_path = write_csv(tmp_path, "data.csv", ["a", "b", "c"], rng.normal(size=(20, 3)))
@@ -320,6 +334,9 @@ GOLDEN_REPORTS = {
     "verify-lemma-n13": (
         ["verify-lemma", "--count", "40", "--n-max", "13", "--seed", "5"],
         "84f23f3d73bff4819c478b087f6b13f5223175d8c379d4816c90e32c86b376ac"),
+    "verify-lemma-n18": (
+        ["verify-lemma", "--count", "20", "--n-max", "18", "--seed", "1"],
+        "5611ef4b8ddbeb3fdd162fb125cbd597688f9a1849fcaff7d3a1466efa3f089b"),
     "chernoff": (
         ["chernoff", "--r", "40", "--p", "0.3", "--trials", "2000", "--seed", "4"],
         "3325a2bc356d20acef227b8210eae0c66a5c264045f5d88f21577be291425289"),

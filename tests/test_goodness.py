@@ -1,5 +1,6 @@
 """Goodness systems: axioms, fractions, bounds, constructors, oracles."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import nan
@@ -9,8 +10,8 @@ import pytest
 from niceset import (BudgetError, ConflictSpec, FractionTable, GoodnessSystem,
                      attempt_success_bound, brute_force_mutually_good,
                      check_goodness_axioms, construction_success_bound,
-                     derive_seed, fraction_table,
-                     good_set, graph_system, h_set, instance_system,
+                     derive_seed, existence_violations, fraction_table,
+                     graph_system, h_set, instance_system,
                      is_constrained, is_mutually_good, is_nice,
                      randomized_construct, sample_instance,
                      system_from_singletons)
@@ -52,19 +53,19 @@ def test_graph_system_rejects_asymmetric_adjacency():
         graph_system({1: {2}, 2: set()})
 
 
-# ------------------------------------------------------------------- good_set
+# -------------------------------------------------------------------------- f
 
 def test_good_set_examples(path_system):
-    assert good_set(path_system, {2}) == frozenset({2, 4})
-    assert good_set(path_system, set()) == frozenset({1, 2, 3, 4})
+    assert path_system.f(frozenset({2})) == frozenset({2, 4})
+    assert path_system.f(frozenset()) == frozenset({1, 2, 3, 4})
     e = edgeless_system(4)
     for s in [set(), {1}, {1, 2, 3}]:
-        assert good_set(e, s) == frozenset({1, 2, 3, 4})
+        assert e.f(frozenset(s)) == frozenset({1, 2, 3, 4})
 
 
 def test_good_set_keeps_own_members_when_not_adjacent(path_system):
     # 1 is not adjacent to itself or 3, so it stays good for {1, 3}
-    assert 1 in good_set(path_system, {1, 3})
+    assert 1 in path_system.f(frozenset({1, 3}))
 
 
 # ------------------------------------------------------------- mutually good
@@ -346,6 +347,59 @@ def test_enumerations_match_the_definitions():
         for L in range(system.size + 1):
             assert brute_force_mutually_good(system, L) == first[L], (seed, L)
     assert empty_h > 10  # the table-driven systems do reject elements at I = {}
+
+
+def reference_existence_violations(system):
+    """The existence sweep without its early stop: the whole table up to
+    ``N - 1``, then brute force at every ``L`` where ``p[L-1] > q[L-1]``."""
+    n = system.size
+    if n < 2:
+        return [], 0
+    table = fraction_table(system, n - 1)
+    fired, violations = 0, []
+    for L in range(2, n + 1):
+        p, q = table.p_at(L - 1), table.q_at(L - 1)
+        if p > q:
+            fired += 1
+            if brute_force_mutually_good(system, L) is None:
+                violations.append({"L": L, "p": str(p), "q": str(q), "N": n})
+    return violations, fired
+
+
+def test_existence_sweep_matches_the_full_table():
+    # the 102 systems of test_enumerations_match_the_definitions
+    empty_h = fired = 0
+    for seed in range(102):
+        rng = generator(derive_seed(707, seed))
+        n = int(rng.integers(1, 10))
+        kind = seed % 3
+        if kind == 0:
+            system, _ = random_instance_system(derive_seed(707, seed, 1), n_max=9)
+        elif kind == 1:
+            inst = sample_instance(n, float(rng.uniform(0.1, 0.9)), seed=derive_seed(707, seed, 2))
+            system = graph_system(edge_adjacency(inst))
+        else:
+            system = table_driven_system(derive_seed(707, seed, 3), n)
+            empty_h += bool(h_set(system, set()))
+        expected = reference_existence_violations(system)
+        assert existence_violations(system) == expected, seed
+        fired += expected[1]
+    assert empty_h > 10 and fired > 0
+
+
+def test_existence_sweep_stops_at_the_first_crossing():
+    # star K_{1,4}: f({1}) = {1} gives p_1 = 1/5, h({1}) = {2, 3, 4, 5} gives
+    # q_1 = 4/5, so no L fires and no set of two or more leaves is enumerated
+    star = graph_system({1: {2, 3, 4, 5}, 2: {1}, 3: {1}, 4: {1}, 5: {1}})
+    sizes = set()
+
+    def recording_f(subset):
+        sizes.add(len(subset))
+        return star.f(subset)
+
+    system = dataclasses.replace(star, f=recording_f)
+    assert existence_violations(system) == ([], 0)
+    assert max(sizes) == 1
 
 
 # --------------------------------------------------------------- axiom checks
