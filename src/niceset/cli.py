@@ -120,13 +120,12 @@ def _fmt(x: float) -> str:
 
 
 def _emit(report: dict, args, lines: list[str]) -> None:
-    for line in lines:
-        print(line)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.json:
+    if args.json:  # before the summary, so that a failed write prints none
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
+    print("\n".join(lines))
+    if not args.json:
         sys.stdout.write(text)
 
 

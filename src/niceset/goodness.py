@@ -12,10 +12,10 @@ with the convention ``f(empty) == U``.  A set ``S`` is *mutually good* when
 this is equivalent to the pairwise condition ``x in f({y})`` for all distinct
 ``x, y in S``, which is what :func:`is_mutually_good` checks.
 
-A *constraint* is a map ``g(x, I)`` into a value set ``E`` with an accepting
-subset ``B``; ``I`` is *B-constrained* when ``g(y, I - {y}) in B`` for every
-``y in I``, and ``h(I)`` collects the elements whose constraint value with
-respect to ``I`` is not accepted.
+A *constraint* maps ``(x, I)`` into a value set ``E`` with accepted values
+``B``; a system stores it as the predicate ``g(x, I)``, true iff that value
+lies in ``B``.  ``I`` is *B-constrained* when ``g(y, I - {y})`` holds for
+every ``y in I``, and ``h(I)`` collects the ``x`` for which ``g(x, I)`` fails.
 
 :func:`fraction_table` enumerates the worst-case fraction of good (resp.
 constraint-violating) elements over B-constrained sets of bounded size, as
@@ -27,7 +27,7 @@ uniform sampling and :func:`brute_force_mutually_good` by exhaustive search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BudgetError, count
 from .instance import Instance
-from .rng import generator
+from .rng import _seed, generator
 
 SUBSET_BUDGET = 2_000_000  # subsets one enumeration may visit
 
@@ -45,26 +45,22 @@ SUBSET_BUDGET = 2_000_000  # subsets one enumeration may visit
 class GoodnessSystem:
     """A finite universe with a goodness function and an element constraint.
 
-    ``f`` and ``g`` are callables over frozensets; ``values`` is the
-    constraint's codomain and ``accepting`` the subset of values that count
-    as satisfied.  ``f(empty) == universe`` is enforced at construction; the
-    two goodness axioms are the caller's responsibility (see
-    :func:`check_goodness_axioms`).
+    ``f`` maps a frozenset to a frozenset; ``g(x, I)`` is true iff the
+    constraint value of ``x`` with respect to the frozenset ``I`` lies in the
+    set ``B`` of accepted values.  ``f(empty) == universe`` is enforced at
+    construction; the two goodness axioms are the caller's responsibility
+    (see :func:`check_goodness_axioms`).
     """
 
     universe: tuple
     f: Callable[[frozenset], frozenset]
-    g: Callable[[object, frozenset], object]
-    values: frozenset
-    accepting: frozenset
+    g: Callable[[object, frozenset], bool]
 
     def __post_init__(self):
         if len(set(self.universe)) != len(self.universe):
             raise ValueError("universe contains duplicates")
         if not self.universe:
             raise ValueError("universe must be non-empty")
-        if not self.accepting <= self.values:
-            raise ValueError("accepting values must be a subset of the value set")
         if self.f(frozenset()) != frozenset(self.universe):
             raise ValueError("f(empty set) must equal the whole universe")
 
@@ -74,8 +70,7 @@ class GoodnessSystem:
 
 
 def system_from_singletons(universe: Iterable, singleton_good: Mapping,
-                           g: Callable[[object, frozenset], object],
-                           values: Iterable, accepting: Iterable) -> GoodnessSystem:
+                           g: Callable[[object, frozenset], bool]) -> GoodnessSystem:
     """Build a system whose ``f`` is derived from its singleton values by
     intersection: ``f(I) = intersection of f({v}) over v in I``.
 
@@ -93,8 +88,7 @@ def system_from_singletons(universe: Iterable, singleton_good: Mapping,
             result &= good[v]
         return result
 
-    return GoodnessSystem(universe=elements, f=f, g=g,
-                          values=frozenset(values), accepting=frozenset(accepting))
+    return GoodnessSystem(universe=elements, f=f, g=g)
 
 
 def graph_system(adjacency: Mapping[int, Iterable[int]]) -> GoodnessSystem:
@@ -102,9 +96,8 @@ def graph_system(adjacency: Mapping[int, Iterable[int]]) -> GoodnessSystem:
 
     ``f(S)`` is the set of vertices adjacent to no vertex of ``S`` (a vertex
     of ``S`` itself belongs to ``f(S)`` when it has no neighbor in ``S``);
-    ``g(x, I)`` is 1 when ``x`` has no neighbor in ``I`` and 0 otherwise,
-    with accepted value 1.  Mutually good and constrained both reduce to
-    stability here.
+    ``g(x, I)`` accepts ``x`` when it has no neighbor in ``I``.  Mutually
+    good and constrained both reduce to stability here.
     """
     vertices = tuple(sorted(adjacency))
     neighbors = {v: frozenset(adjacency[v]) for v in vertices}
@@ -113,35 +106,34 @@ def graph_system(adjacency: Mapping[int, Iterable[int]]) -> GoodnessSystem:
             if v not in neighbors.get(u, frozenset()):
                 raise ValueError(f"adjacency not symmetric at ({u}, {v})")
 
-    def g(x, chosen: frozenset):
-        return 0 if neighbors[x] & chosen else 1
+    def g(x, chosen: frozenset) -> bool:
+        return not neighbors[x] & chosen
 
     singleton_good = {v: frozenset(vertices) - neighbors[v] for v in vertices}
-    return system_from_singletons(vertices, singleton_good, g, values={0, 1}, accepting={1})
+    return system_from_singletons(vertices, singleton_good, g)
 
 
 def instance_system(inst: Instance) -> GoodnessSystem:
     """Goodness system of a model instance.
 
-    Goodness is non-adjacency in the collinearity edges.  The constraint
-    value of ``x`` with respect to chosen set ``I`` is 1 when ``x`` lies in
-    some chosen vertex's closed conflict set ``T(v) | {v}``, and the accepted
-    value is 0: an accepted element avoids every chosen vertex and all of
-    their conflict partners.  A set is mutually good and constrained here
+    Goodness is :func:`graph_system`'s non-adjacency in the collinearity
+    edges.  The constraint accepts ``x`` with respect to chosen set ``I``
+    when ``x`` lies in no chosen vertex's closed conflict set
+    ``T(v) | {v}``: an accepted element avoids every chosen vertex and all
+    of their conflict partners.  A set is mutually good and constrained here
     exactly when it is nice in ``inst``.
     """
-    vertices = tuple(range(1, inst.m + 1))
+    vertices = range(1, inst.m + 1)
     closed = {v: inst.conflicts[v] | {v} for v in vertices}
 
-    def g(x, chosen: frozenset):
-        return 1 if any(x in closed[v] for v in chosen) else 0
+    def g(x, chosen: frozenset) -> bool:
+        return not any(x in closed[v] for v in chosen)
 
     neighbors = {v: set() for v in vertices}
     for u, v in inst.edges:
         neighbors[u].add(v)
         neighbors[v].add(u)
-    singleton_good = {v: frozenset(vertices) - neighbors[v] for v in vertices}
-    return system_from_singletons(vertices, singleton_good, g, values={0, 1}, accepting={0})
+    return replace(graph_system(neighbors), g=g)
 
 
 def is_mutually_good(system: GoodnessSystem, s: Iterable) -> bool:
@@ -152,16 +144,15 @@ def is_mutually_good(system: GoodnessSystem, s: Iterable) -> bool:
 
 
 def is_constrained(system: GoodnessSystem, s: Iterable) -> bool:
-    """True iff ``g(y, s - {y})`` is accepted for every ``y in s``."""
+    """True iff ``g(y, s - {y})`` holds for every ``y in s``."""
     members = frozenset(s)
-    return all(system.g(y, members - {y}) in system.accepting for y in members)
+    return all(system.g(y, members - {y}) for y in members)
 
 
 def h_set(system: GoodnessSystem, i_set: Iterable) -> frozenset:
-    """Elements whose constraint value with respect to ``i_set`` is rejected."""
+    """Elements whose constraint value with respect to ``i_set`` lies outside ``B``."""
     chosen = frozenset(i_set)
-    return frozenset(x for x in system.universe
-                     if system.g(x, chosen) not in system.accepting)
+    return frozenset(x for x in system.universe if not system.g(x, chosen))
 
 
 def _constrained_sets(system: GoodnessSystem, size: int):
@@ -351,22 +342,23 @@ class AxiomReport:
 _MAX_RECORDED_VIOLATIONS = 50
 
 
-def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
-                          samples: int = 2000, seed: int = 0) -> AxiomReport:
+def check_goodness_axioms(system: GoodnessSystem, samples: int | None = None,
+                          seed: int = 0) -> AxiomReport:
     """Verify the symmetry and intersection axioms over subset pairs.
 
-    ``mode="exhaustive"`` checks all unordered pairs (requires ``N <= 12``);
-    ``mode="sampled"`` checks ``samples`` (at least 1) uniformly drawn
-    pairs and requires ``N <= 63``; exhaustive mode ignores the value of
-    ``samples``.  The report lists violating pairs, truncated after the
-    first 50, and counts the pairs checked up to that point.
+    ``samples=None`` checks all unordered pairs (requires ``N <= 12``); a
+    count checks that many uniformly drawn pairs, seeded by ``seed``, and
+    requires ``N <= 63``.  The report lists violating pairs, truncated after
+    the first 50, and counts the pairs checked up to that point.
     """
-    samples = count("samples", samples, -math.inf)  # typed in both modes; bounded in sampled mode
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and samples < 1:
-        raise ValueError("sampled mode needs samples >= 1")
+    seed = _seed(seed)
     n = system.size
+    if samples is None and n > 12:
+        raise ValueError("checking every pair requires N <= 12")
+    if samples is not None:
+        samples = count("samples", samples, 1)
+        if n > 63:  # masks are drawn as int64
+            raise ValueError(f"sampled pairs require N <= 63, got N={n}")
     elements = system.universe  # elements[i] is bit i of a mask
     index = {v: i for i, v in enumerate(elements)}
     total = 1 << n
@@ -377,13 +369,11 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
     def f_mask(mask: int) -> int:
         return sum(1 << index[v] for v in system.f(subset(mask)))
 
-    if mode == "exhaustive":
-        if n > 12:
-            raise ValueError("exhaustive mode requires N <= 12")
+    # each path yields the count of pairs checked so far and the new violations
+    def every_pair():
         f = np.array([f_mask(mask) for mask in range(total)], dtype=np.int64)
         all_masks = np.arange(total, dtype=np.int64)
         not_f = ~f
-        violations: list[AxiomViolation] = []
         checked = 0
         for a in range(total):
             rest = all_masks[a:]
@@ -394,32 +384,28 @@ def check_goodness_axioms(system: GoodnessSystem, mode: str = "exhaustive",
             bad_sym = np.nonzero(a_in_fb != b_in_fa)[0]
             # intersection: f[a | b] == f[a] & f[b]
             bad_int = np.nonzero(f[a | rest] != (f[a] & f[a:]))[0]
-            for idx in bad_sym:
-                violations.append(AxiomViolation("symmetry", subset(a),
-                                                 subset(int(rest[idx]))))
-            for idx in bad_int:
-                violations.append(AxiomViolation("intersection", subset(a),
-                                                 subset(int(rest[idx]))))
-            if len(violations) > _MAX_RECORDED_VIOLATIONS:
-                return AxiomReport(checked_pairs=checked,
-                                   violations=tuple(violations[:_MAX_RECORDED_VIOLATIONS]),
-                                   truncated=True)
-        return AxiomReport(checked_pairs=checked, violations=tuple(violations))
+            yield checked, [AxiomViolation(axiom, subset(a), subset(int(rest[i])))
+                            for axiom, bad in (("symmetry", bad_sym), ("intersection", bad_int))
+                            for i in bad]
 
-    if n > 63:  # masks are drawn as int64
-        raise ValueError(f"sampled mode requires N <= 63, got N={n}")
-    rng = generator(seed)
-    violations = []
-    for checked in range(1, samples + 1):
-        a = int(rng.integers(0, total))
-        b = int(rng.integers(0, total))
-        fa, fb = f_mask(a), f_mask(b)
-        if ((a & ~fb) == 0) != ((b & ~fa) == 0):
-            violations.append(AxiomViolation("symmetry", subset(a), subset(b)))
-        if f_mask(a | b) != fa & fb:
-            violations.append(AxiomViolation("intersection", subset(a), subset(b)))
+    def drawn_pairs():
+        rng = generator(seed)
+        for checked in range(1, samples + 1):
+            a = int(rng.integers(0, total))
+            b = int(rng.integers(0, total))
+            fa, fb = f_mask(a), f_mask(b)
+            found = []
+            if ((a & ~fb) == 0) != ((b & ~fa) == 0):
+                found.append(AxiomViolation("symmetry", subset(a), subset(b)))
+            if f_mask(a | b) != fa & fb:
+                found.append(AxiomViolation("intersection", subset(a), subset(b)))
+            yield checked, found
+
+    violations: list[AxiomViolation] = []
+    for checked, found in every_pair() if samples is None else drawn_pairs():
+        violations += found
         if len(violations) > _MAX_RECORDED_VIOLATIONS:
             return AxiomReport(checked_pairs=checked,
                                violations=tuple(violations[:_MAX_RECORDED_VIOLATIONS]),
                                truncated=True)
-    return AxiomReport(checked_pairs=samples, violations=tuple(violations))
+    return AxiomReport(checked_pairs=checked, violations=tuple(violations))

@@ -193,9 +193,16 @@ def binomial_deviation_tail(r: int, p: float, deviation: float) -> float:
     errors.open_unit("p", p)
     if math.isnan(errors.real("deviation", deviation)):
         raise ValueError("deviation must not be NaN")
+
+    def pmf(k: int) -> float:
+        c = math.comb(r, k)
+        try:  # in log space only where the coefficient overflows a float
+            return c * p ** k * (1.0 - p) ** (r - k)
+        except OverflowError:
+            return math.exp(math.log(c) + k * math.log(p) + (r - k) * math.log1p(-p))
+
     theta = r * p
-    return float(sum(math.comb(r, k) * p ** k * (1.0 - p) ** (r - k)
-                     for k in range(r + 1) if abs(k - theta) >= deviation))
+    return float(sum(pmf(k) for k in range(r + 1) if abs(k - theta) >= deviation))
 
 
 def run_chernoff_check(r: int, bernoulli_p: float, gamma: float, trials: int,

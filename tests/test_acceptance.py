@@ -149,7 +149,7 @@ def test_criterion_6_goodness_axioms_and_pairwise_equivalence():
         n = 3 + idx % 4                       # 3..6
         inst = sample_instance(n, [0.2, 0.5, 0.8][idx % 3], seed=derive_seed(2002, idx))
         system = graph_system(edge_adjacency(inst))
-        if not check_goodness_axioms(system, mode="exhaustive").ok:
+        if not check_goodness_axioms(system).ok:
             axiom_violations += 1
         for size in range(min(5, n) + 1):
             for combo in itertools.combinations(system.universe, size):

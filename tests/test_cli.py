@@ -301,6 +301,26 @@ def test_missing_file_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate-upper", "--m", "10", "--p", "0.5", "--trials", "2"],
+    ["simulate-lower", "--m", "10", "--p", "0.5", "--trials", "2"],
+    ["verify-lemma", "--count", "2", "--n-max", "4"],
+    ["chernoff", "--r", "20", "--p", "0.5", "--trials", "100"],
+    ["bounds", "--m", "10", "--p", "0.5"],
+    ["select", "--lambda-c", "0.8", "--lambda-mc", "5"],
+], ids=lambda argv: argv[0])
+def test_failed_json_write_prints_no_summary(capsys, tmp_path, argv):
+    # --json names a directory, so the report cannot be written; the run must
+    # fail before it prints a summary that reads like a success
+    if argv[0] == "select":
+        argv = argv + ["--input", write_csv(tmp_path, "f.csv", ["a", "b"],
+                                            [[1, 2], [2, 1], [3, 5], [4, 3]])]
+    code, out, err = run_cli(capsys, argv + ["--json", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # SHA-256 of each report written with --json, recorded before the randomized
 # solver moved from the goodness-system sampler to union-graph bitmasks
 GOLDEN_REPORTS = {

@@ -38,14 +38,9 @@ def random_instance_system(seed, n_max=8):
 def test_system_validation():
     U = (1, 2, 3)
     with pytest.raises(ValueError):
-        GoodnessSystem(universe=(1, 1, 2), f=lambda s: frozenset(U),
-                       g=lambda x, s: 1, values=frozenset({1}), accepting=frozenset({1}))
-    with pytest.raises(ValueError):
-        GoodnessSystem(universe=U, f=lambda s: frozenset(U), g=lambda x, s: 1,
-                       values=frozenset({1}), accepting=frozenset({2}))
+        GoodnessSystem(universe=(1, 1, 2), f=lambda s: frozenset(U), g=lambda x, s: True)
     with pytest.raises(ValueError):  # f(empty) must be the whole universe
-        GoodnessSystem(universe=U, f=lambda s: frozenset(), g=lambda x, s: 1,
-                       values=frozenset({1}), accepting=frozenset({1}))
+        GoodnessSystem(universe=U, f=lambda s: frozenset(), g=lambda x, s: True)
 
 
 def test_graph_system_rejects_asymmetric_adjacency():
@@ -146,8 +141,7 @@ def test_fraction_table_counts_the_empty_set_in_q():
     # q_1 must be 1/4, which attempt_success_bound's (1 - q_1) factor needs
     universe = (1, 2, 3, 4)
     system = system_from_singletons(universe, {v: universe for v in universe},
-                                    g=lambda x, chosen: 1 if (x == 1 and not chosen) else 0,
-                                    values={0, 1}, accepting={0})
+                                    g=lambda x, chosen: not (x == 1 and not chosen))
     assert h_set(system, set()) == frozenset({1})
     assert fraction_table(system, 1).q_at(1) == Fraction(1, 4)
     table = fraction_table(system, 3)
@@ -287,8 +281,9 @@ def test_brute_force_examples(path_system, k4_system):
 
 
 def table_driven_system(seed, n):
-    """Symmetric random goodness with a constraint read from a seeded table
-    over every ``(x, I)``: ``g`` is neither hereditary nor empty on ``I = {}``."""
+    """Symmetric random goodness with a constraint value in ``E = {0, 1, 2}``
+    read from a seeded table over every ``(x, I)`` and accepted in ``B``:
+    ``g`` is neither hereditary nor empty on ``I = {}``."""
     rng = generator(seed)
     universe = tuple(range(1, n + 1))
     good = {v: {v} for v in universe}
@@ -300,8 +295,8 @@ def table_driven_system(seed, n):
              for size in range(n + 1) for chosen in itertools.combinations(universe, size)
              for x in universe}
     accepting = {0, 1} if seed % 2 else {0}
-    return system_from_singletons(universe, good, lambda x, chosen: table[x, chosen],
-                                  values={0, 1, 2}, accepting=accepting)
+    return system_from_singletons(universe, good,
+                                  lambda x, chosen: table[x, chosen] in accepting)
 
 
 def reference_enumeration(system):
@@ -313,12 +308,12 @@ def reference_enumeration(system):
     for mask in range(1 << n):
         positions = tuple(i for i in range(n) if mask >> i & 1)
         s = frozenset(universe[i] for i in positions)
-        if not all(system.g(y, s - {y}) in system.accepting for y in s):
+        if not all(system.g(y, s - {y}) for y in s):
             continue
         k = len(s)
         fewest_good[k] = min(fewest_good[k], len(system.f(s)))
         most_rejected[k] = max(most_rejected[k],
-                               sum(system.g(x, s) not in system.accepting for x in universe))
+                               sum(not system.g(x, s) for x in universe))
         if mutually_good_by_definition(system, s) and (first[k] is None
                                                         or positions < first[k][0]):
             first[k] = (positions, s)
@@ -414,8 +409,7 @@ def test_axiom_check_flags_identity_map():
     U = (1, 2, 3, 4)
     ident = GoodnessSystem(universe=U,
                            f=lambda s: frozenset(U) if not s else frozenset(s),
-                           g=lambda x, s: 1, values=frozenset({1}),
-                           accepting=frozenset({1}))
+                           g=lambda x, s: True)
     report = check_goodness_axioms(ident)
     assert not report.ok
     assert any(v.axiom == "symmetry" for v in report.violations)
@@ -426,53 +420,46 @@ def test_axiom_check_accepts_complement_and_constant_maps():
     # complete graph with self-loops ignored); the constant map trivially does
     U = (1, 2, 3, 4, 5)
     complement = GoodnessSystem(universe=U, f=lambda s: frozenset(U) - frozenset(s),
-                                g=lambda x, s: 1, values=frozenset({1}),
-                                accepting=frozenset({1}))
+                                g=lambda x, s: True)
     assert check_goodness_axioms(complement).ok
-    constant = GoodnessSystem(universe=U, f=lambda s: frozenset(U),
-                              g=lambda x, s: 1, values=frozenset({1}),
-                              accepting=frozenset({1}))
+    constant = GoodnessSystem(universe=U, f=lambda s: frozenset(U), g=lambda x, s: True)
     assert check_goodness_axioms(constant).ok
 
 
 def test_axiom_check_sampled_mode_and_validation(path_system):
-    assert check_goodness_axioms(path_system, mode="sampled", samples=500, seed=1).ok
-    with pytest.raises(ValueError):
-        check_goodness_axioms(path_system, mode="bogus")
+    assert check_goodness_axioms(path_system, samples=500, seed=1).ok
     big = edgeless_system(13)
     with pytest.raises(ValueError):
-        check_goodness_axioms(big, mode="exhaustive")
-    assert check_goodness_axioms(big, mode="sampled", samples=200, seed=0).ok
+        check_goodness_axioms(big)
+    assert check_goodness_axioms(big, samples=200, seed=0).ok
     # subset masks are drawn as int64, so 63 elements is the largest sampled universe
-    assert check_goodness_axioms(edgeless_system(63), mode="sampled", samples=20, seed=0).ok
+    assert check_goodness_axioms(edgeless_system(63), samples=20, seed=0).ok
     for n in (64, 70):
-        with pytest.raises(ValueError, match=rf"^sampled mode requires N <= 63, got N={n}$"):
-            check_goodness_axioms(edgeless_system(n), mode="sampled", samples=20, seed=0)
-    for mode in ("exhaustive", "sampled"):
-        for bad in (2.5, nan):
-            with pytest.raises(TypeError):
-                check_goodness_axioms(path_system, mode=mode, samples=bad)
-    for bad in (0, -5):  # a sampled check of no pairs checks nothing
-        with pytest.raises(ValueError, match="sampled mode needs samples >= 1"):
-            check_goodness_axioms(path_system, mode="sampled", samples=bad)
-        assert check_goodness_axioms(path_system, mode="exhaustive", samples=bad).ok
+        with pytest.raises(ValueError, match=rf"^sampled pairs require N <= 63, got N={n}$"):
+            check_goodness_axioms(edgeless_system(n), samples=20, seed=0)
+    for bad in (2.5, nan):
+        with pytest.raises(TypeError):
+            check_goodness_axioms(path_system, samples=bad)
+    for bad in (0, -5):  # a check of no pairs checks nothing; only None checks every pair
+        with pytest.raises(ValueError, match="^samples must be at least 1$"):
+            check_goodness_axioms(path_system, samples=bad)
 
 
 def test_truncated_axiom_check_counts_the_pairs_it_checked():
-    # f(S) = {min S} breaks both axioms on most pairs, so both modes stop at
+    # f(S) = {min S} breaks both axioms on most pairs, so both checks stop at
     # the 51st violation, long before they run out of pairs
     U = tuple(range(1, 7))
     system = GoodnessSystem(universe=U, f=lambda s: frozenset([min(s)]) if s else frozenset(U),
-                            g=lambda x, s: 1, values=frozenset({1}), accepting=frozenset({1}))
+                            g=lambda x, s: True)
     exhaustive = check_goodness_axioms(system)
     assert exhaustive.truncated and exhaustive.checked_pairs == 127
-    sampled = check_goodness_axioms(system, mode="sampled", samples=2000, seed=0)
+    sampled = check_goodness_axioms(system, samples=2000, seed=0)
     checked = sampled.checked_pairs
     assert sampled.truncated and 26 <= checked < 2000
     # a seed draws the same pairs whatever the sample count, so a run of
     # exactly that many pairs stops at the same pair, and one fewer does not stop
-    assert check_goodness_axioms(system, mode="sampled", samples=checked, seed=0) == sampled
-    shorter = check_goodness_axioms(system, mode="sampled", samples=checked - 1, seed=0)
+    assert check_goodness_axioms(system, samples=checked, seed=0) == sampled
+    shorter = check_goodness_axioms(system, samples=checked - 1, seed=0)
     assert not shorter.truncated and shorter.checked_pairs == checked - 1
 
 
@@ -502,7 +489,8 @@ def test_instance_system_matches_niceness_exhaustively():
 
 def reference_instance_system(inst):
     """The instance system with its singleton good sets built from one edge
-    lookup per vertex pair, as ``instance_system`` once built them."""
+    lookup per vertex pair, as ``instance_system`` once built them, and its
+    constraint written from the definition of a closed conflict set."""
     vertices = tuple(range(1, inst.m + 1))
     closed = {v: inst.conflicts[v] | {v} for v in vertices}
 
@@ -510,11 +498,11 @@ def reference_instance_system(inst):
         return (min(u, v), max(u, v)) in inst.edges
 
     def g(x, chosen: frozenset):
-        return 1 if any(x in closed[v] for v in chosen) else 0
+        return all(x not in closed[v] for v in chosen)
 
     singleton_good = {v: frozenset(u for u in vertices if not has_edge(u, v) or u == v)
                       for v in vertices}
-    return system_from_singletons(vertices, singleton_good, g, values={0, 1}, accepting={0})
+    return system_from_singletons(vertices, singleton_good, g)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -526,7 +514,6 @@ def test_instance_system_matches_the_pairwise_edge_builder(p):
                 inst = sample_instance(n, p, spec, seed=derive_seed(606, 100 * n + 10 * k + seed))
                 system, reference = instance_system(inst), reference_instance_system(inst)
                 assert system.universe == reference.universe
-                assert (system.values, system.accepting) == (reference.values, reference.accepting)
                 for v in system.universe:
                     single = frozenset([v])
                     assert system.f(single) == reference.f(single)
@@ -537,8 +524,6 @@ def test_instance_system_matches_the_pairwise_edge_builder(p):
 def test_system_from_singletons_requires_empty_to_map_to_universe():
     with pytest.raises(ValueError):
         # singleton map cannot repair a broken empty-set convention
-        GoodnessSystem(universe=(1, 2), f=lambda s: frozenset({1}),
-                       g=lambda x, s: 0, values=frozenset({0}), accepting=frozenset({0}))
-    system = system_from_singletons((1, 2), {1: {1, 2}, 2: {1, 2}},
-                                    g=lambda x, s: 0, values={0}, accepting={0})
+        GoodnessSystem(universe=(1, 2), f=lambda s: frozenset({1}), g=lambda x, s: True)
+    system = system_from_singletons((1, 2), {1: {1, 2}, 2: {1, 2}}, g=lambda x, s: True)
     assert system.f(frozenset()) == frozenset({1, 2})

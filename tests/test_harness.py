@@ -1,8 +1,9 @@
 """Experiment engine: determinism, report invariants, and the exact oracles."""
 
 from fractions import Fraction
-from math import comb, nan
+from math import comb, nan, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -152,6 +153,20 @@ def test_binomial_tail_oracle_and_validation():
         binomial_deviation_tail(0, 0.5, 1.0)
     with pytest.raises(ValueError):
         binomial_deviation_tail(10, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("r", [1030, 2000])
+def test_binomial_tail_where_the_coefficients_overflow_a_float(r, p):
+    # from r = 1030 on, some C(r, k) exceed the float range (at p = 0.5 the
+    # terms near the mean, at half a standard deviation); the tail must still
+    # agree with the same sum evaluated at 50 digits
+    theta, deviation = r * p, 0.5 * sqrt(r * p * (1 - p))
+    with mpmath.workdps(50):
+        q = mpmath.mpf(p)
+        exact = mpmath.fsum(mpmath.binomial(r, k) * q ** k * (1 - q) ** (r - k)
+                            for k in range(r + 1) if abs(k - theta) >= deviation)
+    assert binomial_deviation_tail(r, p, deviation) == pytest.approx(float(exact), rel=1e-9)
 
 
 def test_chernoff_check_report():

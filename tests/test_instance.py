@@ -429,9 +429,11 @@ def test_derive_seed_is_stable_and_spreads():
     lambda: generator(-1),
     lambda: sample_instance(5, 0.5, seed=-1),
     lambda: randomized_construct(instance_system(sample_instance(5, 0.5)), 2, 10, seed=-1),
-    lambda: check_goodness_axioms(instance_system(sample_instance(5, 0.5)), mode="sampled",
+    lambda: check_goodness_axioms(instance_system(sample_instance(5, 0.5)), samples=2000,
                                   seed=-1),
-], ids=["generator", "sample_instance", "randomized_construct", "check_goodness_axioms"])
+    lambda: check_goodness_axioms(instance_system(sample_instance(5, 0.5)), seed=-1),
+], ids=["generator", "sample_instance", "randomized_construct", "check_goodness_axioms",
+        "check_goodness_axioms-every-pair"])
 def test_negative_seeds_fail_with_one_message(call):
     # derive_seed's own check, not numpy's "expected non-negative integer"
     with pytest.raises(ValueError, match="^seeds and derivation indices must be non-negative$"):

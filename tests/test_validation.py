@@ -49,7 +49,7 @@ COUNTS = [
     (TABLE.p_at, "i", 1, TABLE.p_at),
     (TABLE.q_at, "i", 1, TABLE.q_at),
     (check_goodness_axioms, "samples", 1,
-     lambda v: check_goodness_axioms(SYSTEM, mode="sampled", samples=v)),
+     lambda v: check_goodness_axioms(SYSTEM, samples=v)),
     (FM.column, "j", 1, FM.column),
     (vif, "j", 1, lambda v: vif(FM, v, [2])),
     (vif, "regressors", 1, lambda v: vif(FM, 1, [2, v])),
