@@ -188,18 +188,20 @@ class ChernoffReport:
 
 def binomial_deviation_tail(r: int, p: float, deviation: float) -> float:
     """``P(|S - r*p| >= deviation)`` for ``S ~ Binomial(r, p)``, by direct
-    summation of the probability mass function."""
+    summation of the probability mass function.  From ``r = 1030`` on, where
+    ``C(r, r/2)`` overflows a float, each term is taken in log space through
+    ``math.lgamma``, so the cost stays linear in ``r``."""
     r = errors.count("r", r, 1)
     errors.open_unit("p", p)
     if math.isnan(errors.real("deviation", deviation)):
         raise ValueError("deviation must not be NaN")
+    log_p, log_q, log_r = math.log(p), math.log1p(-p), math.lgamma(r + 1)
 
     def pmf(k: int) -> float:
-        c = math.comb(r, k)
-        try:  # in log space only where the coefficient overflows a float
-            return c * p ** k * (1.0 - p) ** (r - k)
-        except OverflowError:
-            return math.exp(math.log(c) + k * math.log(p) + (r - k) * math.log1p(-p))
+        if r < 1030:  # every C(r, k) fits a float
+            return math.comb(r, k) * p ** k * (1.0 - p) ** (r - k)
+        return math.exp(log_r - math.lgamma(k + 1) - math.lgamma(r - k + 1)
+                        + k * log_p + (r - k) * log_q)
 
     theta = r * p
     return float(sum(pmf(k) for k in range(r + 1) if abs(k - theta) >= deviation))

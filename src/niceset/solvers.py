@@ -2,8 +2,8 @@
 
 All three solvers reduce niceness to stability in the union graph, read from
 the instance's cached boolean adjacency.  The exact and greedy solvers work on
-its rows as bitmasks (bit ``v-1`` stands for vertex ``v``), so they are exact
-integer computations with no floating point involved.
+its rows as bitmasks (the exact search relabels the vertices by degree first),
+so they are exact integer computations with no floating point involved.
 """
 
 from __future__ import annotations
@@ -28,30 +28,32 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _clique_cover_bound(candidates: int, adj: list[int]) -> int:
-    # A greedy clique cover of the candidate set: a stable set meets each
-    # clique at most once, so the number of cliques bounds the stable size.
-    remaining = candidates
-    cliques = 0
-    while remaining:
-        v = (remaining & -remaining).bit_length() - 1
-        grow = remaining & adj[v]
-        clique = 1 << v
+def _clique_cover(candidates: int, adj: list[int]) -> list[int]:
+    """Greedy cliques covering the candidates, each grown from the lowest
+    vertex left; a stable set meets each clique at most once."""
+    cover = []
+    while candidates:
+        clique = candidates & -candidates
+        grow = candidates & adj[clique.bit_length() - 1]
         while grow:
-            u = (grow & -grow).bit_length() - 1
-            clique |= 1 << u
-            grow &= adj[u]
-        remaining &= ~clique
-        cliques += 1
-    return cliques
+            low = grow & -grow
+            clique |= low
+            grow &= adj[low.bit_length() - 1]
+        candidates &= ~clique
+        cover.append(clique)
+    return cover
+
+
+def _by_degree(adjacency: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Masks relabelled by ascending degree, ties in order, and their original indices."""
+    order = np.argsort(adjacency.sum(1), kind="stable")
+    return order, _adjacency_masks(adjacency[np.ix_(order, order)])
 
 
 def _min_degree_greedy(adj: list[int], m: int) -> int:
-    """Greedy stable set: repeatedly take a minimum-degree vertex of the
-    residual graph, the smallest such index, and delete its closed
-    neighborhood."""
-    remaining = (1 << m) - 1
-    chosen = 0
+    """Greedy stable set: repeatedly take a vertex of minimum residual degree,
+    the smallest such index, and delete its closed neighborhood."""
+    remaining, chosen = (1 << m) - 1, 0
     while remaining:
         v = min(_bits(remaining), key=lambda u: (adj[u] & remaining).bit_count())
         chosen |= 1 << v
@@ -59,8 +61,9 @@ def _min_degree_greedy(adj: list[int], m: int) -> int:
     return chosen
 
 
-def _mask_to_vertices(mask: int) -> frozenset[int]:
-    return frozenset(v + 1 for v in _bits(mask))
+def _mask_to_vertices(mask: int, order) -> frozenset[int]:
+    """The vertices of ``mask``, whose bit ``j`` stands for vertex ``order[j] + 1``."""
+    return frozenset(int(order[v]) + 1 for v in _bits(mask))
 
 
 def _check_witness(vertices: frozenset[int], inst: Instance) -> None:
@@ -70,45 +73,42 @@ def _check_witness(vertices: frozenset[int], inst: Instance) -> None:
 
 
 def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResult:
-    """Maximum nice set by branch and bound on the union graph.
-
-    Starts from the greedy set, branches on a maximum-residual-degree vertex
-    (take it, or drop it) and prunes with the greedy clique-cover bound.  The
-    search runs depth first on an explicit stack, take-child first, so its
-    depth is not limited by Python's recursion limit; ``node_budget`` is its
-    only limit.  Raises :class:`BudgetError` carrying the best set found when
-    more than ``node_budget`` search nodes are expanded.
-    """
+    """Maximum nice set by colouring branch and bound (MCQ, Tomita & Seki
+    2003, on the complement) from the greedy set, the vertices relabelled by
+    ascending union-graph degree.  Each node covers its candidates with
+    greedy cliques and branches from the last clique back; a vertex of the
+    ``j``-th clique leads to at most ``size + j`` vertices, so once that is
+    no better than the best set the rest of the cover is cut.  The search
+    runs on an explicit stack, so Python's recursion limit does not bound its
+    depth; past ``node_budget`` nodes it raises :class:`BudgetError` with the
+    best set found."""
     node_budget = count("node_budget", node_budget, 1)
-    m = inst.m
-    adj = _adjacency_masks(inst.adjacency)
-    best_mask = _min_degree_greedy(adj, m)
-    best_size = best_mask.bit_count()
-    nodes = 0
-    stack = [((1 << m) - 1, 0, 0)]  # pending (candidates, chosen, size) subproblems
+    order, adj = _by_degree(inst.adjacency)
+    best_mask = _min_degree_greedy(adj, inst.m)
+    best_size, nodes, left = best_mask.bit_count(), 1, (1 << inst.m) - 1
+    stack = [[0, 0, left, _clique_cover(left, adj)]]  # chosen, size, candidates left, cover
     while stack:
-        candidates, chosen, size = stack.pop()
+        chosen, size, left, cover = frame = stack[-1]
+        if size + len(cover) <= best_size:
+            stack.pop()
+            continue
+        clique = cover.pop()
+        v = clique.bit_length() - 1
+        bit = 1 << v
+        if clique != bit:
+            cover.append(clique ^ bit)
+        frame[2] = left = left ^ bit
         nodes += 1
         if nodes > node_budget:
-            raise BudgetError(
-                f"exact search exceeded node budget {node_budget}",
-                best_size=best_size, best_vertices=_mask_to_vertices(best_mask))
-        if candidates == 0:
-            if size > best_size:
-                best_size, best_mask = size, chosen
-            continue
-        if size + _clique_cover_bound(candidates, adj) <= best_size:
-            continue
-        pivot, pivot_deg = -1, -1
-        for v in _bits(candidates):
-            d = (adj[v] & candidates).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-        bit = 1 << pivot
-        # the take child is pushed last, so it is searched first
-        stack.append((candidates & ~bit, chosen, size))
-        stack.append((candidates & ~(adj[pivot] | bit), chosen | bit, size + 1))
-    vertices = _mask_to_vertices(best_mask)
+            raise BudgetError(f"exact search exceeded node budget {node_budget}",
+                              best_size=best_size,
+                              best_vertices=_mask_to_vertices(best_mask, order))
+        chosen |= bit
+        if size + 1 > best_size:  # every chosen set is stable
+            best_size, best_mask = size + 1, chosen
+        left &= ~adj[v]
+        stack.append([chosen, size + 1, left, _clique_cover(left, adj)])
+    vertices = _mask_to_vertices(best_mask, order)
     _check_witness(vertices, inst)
     return NiceSetResult(vertices=vertices, size=best_size, method="exact")
 
@@ -117,7 +117,7 @@ def greedy_nice(inst: Instance) -> NiceSetResult:
     """Maximal (not necessarily maximum) nice set by residual min-degree
     greedy; ties go to the smallest vertex."""
     mask = _min_degree_greedy(_adjacency_masks(inst.adjacency), inst.m)
-    vertices = _mask_to_vertices(mask)
+    vertices = _mask_to_vertices(mask, range(inst.m))
     _check_witness(vertices, inst)
     return NiceSetResult(vertices=vertices, size=len(vertices), method="greedy")
 
@@ -125,13 +125,12 @@ def greedy_nice(inst: Instance) -> NiceSetResult:
 def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> NiceSetResult:
     """Nice set found by the uniform randomized constructor.
 
-    Scans target sizes ``L`` downward from the greedy clique-cover bound of
-    the union graph (no nice set is larger, so no size above it can succeed)
-    to 1.  Size ``L`` draws all ``max_restarts`` rows of ``L`` uniform
-    vertices in one call from its own seed ``derive_seed(seed, L)``; the rows
-    with distinct vertices are tested together in one gather on the cached
-    union-graph adjacency, and the first stable one wins.
-    This is exactly the draw sequence and acceptance test of
+    Scans target sizes ``L`` from the clique count of :func:`max_nice_exact`'s
+    root cover (no nice set is larger) down to 1.  Size ``L`` draws all
+    ``max_restarts`` rows of ``L`` uniform vertices in one call from its own
+    seed ``derive_seed(seed, L)``; the rows with distinct vertices are tested
+    together in one gather on the cached union-graph adjacency, and the first
+    stable one wins.  This is exactly the draw sequence and acceptance test of
     :func:`~niceset.goodness.randomized_construct` on the instance's goodness
     system.  ``L = 1`` always succeeds, so a set is always returned.
     Deterministic under ``seed``.
@@ -139,7 +138,7 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
     max_restarts = count("max_restarts", max_restarts, 1)
     m, adjacency = inst.m, inst.adjacency
     flat = adjacency.ravel()  # a view: the adjacency is C-contiguous
-    for target in range(_clique_cover_bound((1 << m) - 1, _adjacency_masks(adjacency)), 0, -1):
+    for target in range(len(_clique_cover((1 << m) - 1, _by_degree(adjacency)[1])), 0, -1):
         draws = generator(derive_seed(seed, target)).integers(0, m, size=(max_restarts, target))
         ordered = np.sort(draws, axis=1)
         rows = draws[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]

@@ -1,5 +1,6 @@
 """Experiment engine: determinism, report invariants, and the exact oracles."""
 
+import time
 from fractions import Fraction
 from math import comb, nan, sqrt
 
@@ -156,17 +157,37 @@ def test_binomial_tail_oracle_and_validation():
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5])
-@pytest.mark.parametrize("r", [1030, 2000])
+@pytest.mark.parametrize("r", [1030, 2000, 5000])
 def test_binomial_tail_where_the_coefficients_overflow_a_float(r, p):
     # from r = 1030 on, some C(r, k) exceed the float range (at p = 0.5 the
-    # terms near the mean, at half a standard deviation); the tail must still
-    # agree with the same sum evaluated at 50 digits
+    # terms near the mean, at half a standard deviation) and every term is
+    # taken through lgamma; the tail must still agree with the same sum
+    # evaluated at 50 digits
     theta, deviation = r * p, 0.5 * sqrt(r * p * (1 - p))
     with mpmath.workdps(50):
         q = mpmath.mpf(p)
         exact = mpmath.fsum(mpmath.binomial(r, k) * q ** k * (1 - q) ** (r - k)
                             for k in range(r + 1) if abs(k - theta) >= deviation)
     assert binomial_deviation_tail(r, p, deviation) == pytest.approx(float(exact), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_binomial_tail_below_1030_sums_the_float_terms(p):
+    # below r = 1030 every coefficient fits a float, and the tail is the sum
+    # of float products bit for bit, so the chernoff golden digest cannot move
+    r = 1029
+    theta, deviation = r * p, 0.5 * sqrt(r * p * (1 - p))
+    expected = float(sum(comb(r, k) * p ** k * (1.0 - p) ** (r - k)
+                         for k in range(r + 1) if abs(k - theta) >= deviation))
+    assert binomial_deviation_tail(r, p, deviation) == expected
+
+
+def test_binomial_tail_time_is_linear_in_r():
+    # chernoff takes any --r, so the exact tail must cost time linear in r
+    start = time.perf_counter()
+    tail = binomial_deviation_tail(200_000, 0.5, 100.0)
+    assert time.perf_counter() - start < 1.0
+    assert 0.6 < tail < 0.7  # 100 is about 0.45 standard deviations
 
 
 def test_chernoff_check_report():

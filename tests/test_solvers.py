@@ -17,7 +17,7 @@ from niceset import (BudgetError, ConflictSpec, Instance, NiceSetResult, derive_
                      solve, solvers)
 from niceset.instance import METHODS
 
-from .conftest import enumerate_max_nice
+from .conftest import enumerate_max_nice, reference_adjacency
 
 
 def complete_instance(m):
@@ -54,6 +54,16 @@ def test_exact_budget_error_carries_best_so_far():
     assert is_nice(err.best_vertices, inst)
     with pytest.raises(ValueError):
         max_nice_exact(inst, node_budget=0)
+    for idx in range(30):
+        inst = sample_instance(10 + 3 * idx, [0.1, 0.3, 0.6][idx % 3],
+                               ConflictSpec.uniform(idx % 3), seed=derive_seed(53, idx))
+        size = max_nice_exact(inst).size
+        for budget in (1, 3, 50):
+            try:
+                assert max_nice_exact(inst, node_budget=budget).size == size
+            except BudgetError as exc:
+                assert 1 <= exc.best_size == len(exc.best_vertices) <= size
+                assert is_nice(exc.best_vertices, inst)
 
 
 @pytest.mark.parametrize("budget", [2.5, 3.0])
@@ -69,76 +79,35 @@ def test_exact_takes_an_integer_like_budget():
         max_nice_exact(inst, node_budget=np.int64(3))
 
 
-def reference_recursive_exact(inst, node_budget=5_000_000):
-    """The recursive search that preceded the explicit stack, one Python
-    frame per search level, from the tie-list greedy start it used."""
-    m = inst.m
-    adj = solvers._adjacency_masks(inst.adjacency)
-    remaining, best_mask = (1 << m) - 1, 0
-    while remaining:
-        ties, best = [], m + 1
-        for v in solvers._bits(remaining):
-            d = (adj[v] & remaining).bit_count()
-            if d < best:
-                best, ties = d, [v]
-            elif d == best:
-                ties.append(v)
-        best_mask |= 1 << ties[0]
-        remaining &= ~(adj[ties[0]] | (1 << ties[0]))
-    best_size = best_mask.bit_count()
-    nodes = 0
-
-    def explore(candidates, chosen, size):
-        nonlocal best_mask, best_size, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetError("over budget", best_size=best_size,
-                              best_vertices=solvers._mask_to_vertices(best_mask))
-        if candidates == 0:
-            if size > best_size:
-                best_size, best_mask = size, chosen
-            return
-        if size + solvers._clique_cover_bound(candidates, adj) <= best_size:
-            return
-        pivot, pivot_deg = -1, -1
-        for v in solvers._bits(candidates):
-            d = (adj[v] & candidates).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-        bit = 1 << pivot
-        explore(candidates & ~(adj[pivot] | bit), chosen | bit, size + 1)
-        explore(candidates & ~bit, chosen, size)
-
-    explore((1 << m) - 1, 0, 0)
-    vertices = solvers._mask_to_vertices(best_mask)
-    return NiceSetResult(vertices=vertices, size=best_size, method="exact")
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 12),
+       p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       k=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**32))
+def test_exact_size_matches_enumeration(m, p, k, seed):
+    inst = sample_instance(m, p, ConflictSpec.uniform(min(k, m - 1)), seed=seed)
+    result = max_nice_exact(inst)
+    assert result.size == len(result.vertices) == enumerate_max_nice(inst)
+    assert is_nice(result.vertices, inst)
 
 
-def exact_outcome(solve, inst, node_budget):
-    try:
-        return solve(inst, node_budget=node_budget)
-    except BudgetError as exc:
-        return exc.best_size, exc.best_vertices
-
-
-def test_exact_stack_search_matches_the_recursive_search():
-    # p runs through 0 and 1, m through 1..70
-    ps = [0.0, 1.0, 0.05, 0.1, 0.2, 0.4, 0.7]
-    for idx in range(126):
-        m = 1 + (idx * 37) % 70
-        k = min(idx % 3, m - 1)
-        spec = ConflictSpec.uniform(k)
-        inst = sample_instance(m, ps[idx % 7], spec, seed=derive_seed(31, idx))
-        assert max_nice_exact(inst) == reference_recursive_exact(inst)
-        for budget in (1, 3, 50, 500):
-            assert exact_outcome(max_nice_exact, inst, budget) == \
-                exact_outcome(reference_recursive_exact, inst, budget)
+@pytest.mark.parametrize("m", [60, 100])
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.5])
+def test_exact_size_matches_networkx(m, p):
+    # the largest stable set of the union graph is the largest clique of
+    # its complement, rebuilt here from the raw edge and conflict fields
+    nx = pytest.importorskip("networkx")
+    inst = sample_instance(m, p, ConflictSpec.uniform(1), seed=derive_seed(41, m))
+    complement = nx.complement(nx.from_numpy_array(reference_adjacency(inst).astype(int)))
+    _, size = nx.max_weight_clique(complement, weight=None)
+    assert max_nice_exact(inst).size == size
 
 
 def test_exact_search_depth_is_not_limited_by_the_recursion_limit():
     # 250 disjoint 5-cycles: the greedy start already has the maximum, 500,
-    # but the clique-cover bound is 750, so the root is not pruned and the
-    # search descends hundreds of levels before the budget runs out
+    # but the root cover has 750 cliques (two edges and a vertex per cycle).
+    # Each cycle the search fills takes two vertices and closes three
+    # cliques, so the bound falls by one per cycle and the search descends
+    # 500 levels before its first cut, far below the lowered recursion limit
     edges = [(5 * c + i + 1, 5 * c + (i + 1) % 5 + 1) for c in range(250) for i in range(5)]
     inst = Instance(1250, edges=edges)
     limit = sys.getrecursionlimit()
@@ -229,7 +198,9 @@ def test_randomized_matches_reference_scan(m, p, k, max_restarts, seed):
 
 def reference_row_scan(inst, max_restarts, seed):
     """The per-row test on Python bitmasks that preceded the batched numpy
-    test, with the masks rebuilt from the raw edge and conflict fields."""
+    test, with the masks rebuilt from the raw edge and conflict fields.  The
+    scan starts at the clique count of the exact search's root cover: the
+    greedy cover of the graph relabelled by ascending degree."""
     m = inst.m
     adj = [0] * m
     for v, ts in inst.conflicts.items():
@@ -238,7 +209,9 @@ def reference_row_scan(inst, max_restarts, seed):
     for u, v in inst.edges:
         adj[u - 1] |= 1 << (v - 1)
         adj[v - 1] |= 1 << (u - 1)
-    for target in range(solvers._clique_cover_bound((1 << m) - 1, adj), 0, -1):
+    order = sorted(range(m), key=lambda v: adj[v].bit_count())  # stable, ties keep their order
+    relabelled = [sum(1 << i for i, u in enumerate(order) if adj[v] >> u & 1) for v in order]
+    for target in range(len(solvers._clique_cover((1 << m) - 1, relabelled)), 0, -1):
         draws = niceset.rng.generator(derive_seed(seed, target)).integers(
             0, m, size=(max_restarts, target))
         ordered = np.sort(draws, axis=1)
@@ -274,7 +247,6 @@ def test_randomized_scan_past_64_vertices():
 
 
 def test_randomized_skips_sizes_above_the_clique_cover_bound(monkeypatch):
-    # a complete graph is one clique, so only L = 1 is drawn
     seeds = []
 
     def recording(seed):
@@ -282,8 +254,14 @@ def test_randomized_skips_sizes_above_the_clique_cover_bound(monkeypatch):
         return niceset.rng.generator(seed)
 
     monkeypatch.setattr(solvers, "generator", recording)
+    # a complete graph is one clique, so only L = 1 is drawn
     assert randomized_nice(complete_instance(9), seed=5).size == 1
     assert seeds == [derive_seed(5, 1)]
+    # the path 3-1-2-4: in vertex order the cover is {1, 2}, {3}, {4}, but
+    # by ascending degree it is {3, 1}, {4, 2}, so the scan starts at L = 2
+    seeds.clear()
+    assert randomized_nice(Instance(4, edges=[(1, 2), (1, 3), (2, 4)]), seed=5).size == 2
+    assert seeds == [derive_seed(5, 2)]
 
 
 def test_randomized_runs_without_the_goodness_system(monkeypatch):
