@@ -24,9 +24,9 @@ from .goodness import (AxiomReport, AxiomViolation, FractionTable, GoodnessSyste
 from .harness import (BoundReport, ChernoffReport, ExperimentConfig, LemmaReport,
                       binomial_deviation_tail, run_bound_experiment,
                       run_chernoff_check, run_lemma_verification)
-from .instance import ConflictSpec, Instance, NiceSetResult, is_nice, sample_instance
+from .instance import ConflictSpec, Instance, is_nice, sample_instance
 from .rng import derive_seed
-from .solvers import greedy_nice, max_nice_exact, randomized_nice, solve
+from .solvers import NiceSetResult, greedy_nice, max_nice_exact, randomized_nice, solve
 
 __version__ = "0.1.0"
 

@@ -20,7 +20,8 @@ from .errors import BudgetError
 from .features import load_csv, select_features
 from .harness import (ExperimentConfig, run_bound_experiment, run_chernoff_check,
                       run_lemma_verification)
-from .instance import METHODS, ConflictSpec
+from .instance import ConflictSpec
+from .solvers import METHODS
 
 SCHEMA_VERSION = 1
 

@@ -45,15 +45,15 @@ def open_unit(name: str, value: float) -> None:
 class BudgetError(RuntimeError):
     """A search or enumeration exceeded its configured budget.
 
-    ``best_size``/``best_vertices`` carry the best solution found before the
-    budget ran out, when the operation has one.
+    ``best_vertices`` carries the best solution found before the budget ran
+    out, when the operation has one, and ``best_size`` its size (else both
+    are ``None``).
     """
 
-    def __init__(self, message: str, *, best_size: int | None = None,
-                 best_vertices: frozenset[int] | None = None):
+    def __init__(self, message: str, *, best_vertices: frozenset[int] | None = None):
         super().__init__(message)
-        self.best_size = best_size
         self.best_vertices = best_vertices
+        self.best_size = None if best_vertices is None else len(best_vertices)
 
 
 class CsvError(ValueError):

@@ -14,7 +14,6 @@ feature ``j`` is vertex ``j``.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -354,9 +353,6 @@ class SelectionReport:
             "conflict_stats": {"max": self.conflict_max, "mean": self.conflict_mean},
             "witness_checked": self.witness_checked,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
 def build_instance(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,

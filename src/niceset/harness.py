@@ -15,9 +15,9 @@ from . import errors  # qualified: run_lemma_verification has a parameter `count
 from .bounds import BoundParams, chernoff_bound, size_lower_bound, size_upper_bound
 from .errors import BudgetError
 from .goodness import existence_violations, instance_system
-from .instance import METHODS, ConflictSpec, _conflict_spec, sample_instance
+from .instance import ConflictSpec, _conflict_spec, sample_instance
 from .rng import _seed, derive_seed, generator
-from .solvers import solve
+from .solvers import METHODS, solve
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def run_bound_experiment(cfg: ExperimentConfig) -> BoundReport:
         try:
             sizes.append(solve(inst, cfg.solver, seed=trial).size)
         except BudgetError as exc:
-            raise BudgetError(f"trial {t}: {exc}", best_size=exc.best_size,
-                              best_vertices=exc.best_vertices) from exc
+            raise BudgetError(f"trial {t}: {exc}", best_vertices=exc.best_vertices) from exc
         max_conflicts.append(max(len(ts) for ts in inst.conflicts.values()))
 
     mean_max = sum(max_conflicts) / len(max_conflicts)

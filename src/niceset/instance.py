@@ -134,8 +134,8 @@ class Instance:
         except TypeError as exc:
             raise ValueError(f"malformed instance payload: {exc}") from None
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
@@ -172,26 +172,6 @@ def _rows(pairs, items: Iterable[tuple[object, Iterable]], m: int, self_pair: st
                 raise ValueError(self_pair.format(v))
             flat += (v, u)
     return np.array(flat, dtype=np.intp).reshape(-1, 2)
-
-
-METHODS = ("exact", "greedy", "randomized")
-
-
-@dataclass(frozen=True)
-class NiceSetResult:
-    """A nice vertex set together with the solver that produced it, one of
-    :data:`METHODS`."""
-
-    vertices: frozenset[int]
-    size: int
-    method: str
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.size != len(self.vertices):
-            raise ValueError("size does not match the vertex set")
 
 
 def _conflict_spec(name: str, spec: ConflictSpec | None, m: int) -> ConflictSpec:

@@ -8,11 +8,33 @@ so they are exact integer computations with no floating point involved.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import BudgetError, count
-from .instance import METHODS, Instance, NiceSetResult, is_nice
+from .instance import Instance, is_nice
 from .rng import derive_seed, generator
+
+METHODS = ("exact", "greedy", "randomized")
+
+
+@dataclass(frozen=True)
+class NiceSetResult:
+    """A nice vertex set together with the solver that produced it, one of
+    :data:`METHODS`, and the seed of a randomized run."""
+
+    vertices: frozenset[int]
+    method: str
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+
+    @property
+    def size(self) -> int:
+        return len(self.vertices)
 
 
 def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
@@ -66,10 +88,13 @@ def _mask_to_vertices(mask: int, order) -> frozenset[int]:
     return frozenset(int(order[v]) + 1 for v in _bits(mask))
 
 
-def _check_witness(vertices: frozenset[int], inst: Instance) -> None:
+def _checked(vertices: frozenset[int], inst: Instance, method: str,
+             seed: int | None = None) -> NiceSetResult:
+    """The result of ``method``, once ``vertices`` is checked nice in ``inst``."""
     # An explicit raise, not an assert, so the check survives ``python -O``.
     if not is_nice(vertices, inst):
         raise RuntimeError("solver returned a non-nice set")
+    return NiceSetResult(vertices, method, seed)
 
 
 def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResult:
@@ -101,25 +126,20 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
         nodes += 1
         if nodes > node_budget:
             raise BudgetError(f"exact search exceeded node budget {node_budget}",
-                              best_size=best_size,
                               best_vertices=_mask_to_vertices(best_mask, order))
         chosen |= bit
         if size + 1 > best_size:  # every chosen set is stable
             best_size, best_mask = size + 1, chosen
         left &= ~adj[v]
         stack.append([chosen, size + 1, left, _clique_cover(left, adj)])
-    vertices = _mask_to_vertices(best_mask, order)
-    _check_witness(vertices, inst)
-    return NiceSetResult(vertices=vertices, size=best_size, method="exact")
+    return _checked(_mask_to_vertices(best_mask, order), inst, "exact")
 
 
 def greedy_nice(inst: Instance) -> NiceSetResult:
     """Maximal (not necessarily maximum) nice set by residual min-degree
     greedy; ties go to the smallest vertex."""
     mask = _min_degree_greedy(_adjacency_masks(inst.adjacency), inst.m)
-    vertices = _mask_to_vertices(mask, range(inst.m))
-    _check_witness(vertices, inst)
-    return NiceSetResult(vertices=vertices, size=len(vertices), method="greedy")
+    return _checked(_mask_to_vertices(mask, range(inst.m)), inst, "greedy")
 
 
 def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> NiceSetResult:
@@ -148,10 +168,8 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
         # entry [u, v] of the adjacency is flat[u * m + v]
         stable = ~flat[rows[:, :, None] * m + rows[:, None, :]].any(axis=(1, 2))
         if stable.any():
-            vertices = frozenset((rows[stable.argmax()] + 1).tolist())
-            _check_witness(vertices, inst)
-            return NiceSetResult(vertices=vertices, size=target,
-                                 method="randomized", seed=seed)
+            return _checked(frozenset((rows[stable.argmax()] + 1).tolist()), inst,
+                            "randomized", seed)
     raise AssertionError("unreachable: singleton draws always succeed")
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from niceset import Instance, build_instance, features, solvers
+from niceset import Instance, build_instance, features, goodness, solvers
 from niceset.cli import main
 
 from .conftest import planted_block_matrix
@@ -88,6 +88,19 @@ def test_verify_lemma_above_ten_elements_exits_zero(capsys):
                                     "--seed", "1"])
     assert code == 0
     assert "0 counterexamples" in out
+
+
+def test_verify_lemma_lists_counterexamples_and_exits_zero(capsys, monkeypatch):
+    monkeypatch.setattr(goodness, "brute_force_mutually_good", lambda *args, **kwargs: None)
+    code, out, _ = run_cli(capsys, ["verify-lemma", "--count", "3", "--n-max", "6",
+                                    "--seed", "3"])
+    # the report lists what was found; the exit code does not judge it
+    assert code == 0
+    assert "3 counterexamples" in out
+    payload = json.loads(out[out.index("{"):])
+    assert payload["counterexamples"][0] == {"L": 2, "N": 3, "p": "1", "q": "1/3",
+                                             "system_index": 0}
+    assert len(payload["counterexamples"]) == 3
 
 
 def test_verify_lemma_over_budget_exits_two(capsys):

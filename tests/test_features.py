@@ -39,6 +39,8 @@ def test_load_csv_with_header(tmp_path):
     assert fm.names == ("a", "b")
     assert fm.n == 4 and fm.m == 2
     assert fm.column(2).tolist() == [2, 4, 6, 8]
+    with pytest.raises(ValueError, match="feature index 3 out of range 1..2"):
+        fm.column(3)
 
 
 def test_load_csv_headerless_names(tmp_path):
@@ -362,6 +364,10 @@ def test_feature_matrix_validation():
     for names in ("ab", b"ab"):  # one string is not split into one name per character
         with pytest.raises(TypeError, match="names"):
             FeatureMatrix(names=names, data=np.ones((5, 2)))
+    with pytest.raises(ValueError, match="data must be a 2-d array"):
+        FeatureMatrix(names=("a", "b"), data=np.ones(5))
+    with pytest.raises(ValueError, match="one name per column required"):
+        FeatureMatrix(names=("a", "b"), data=np.ones((5, 3)))
     bad = np.ones((5, 2))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
@@ -430,6 +436,8 @@ def test_collinearity_graph_matches_reference_at_the_threshold():
         assert all(type(u) is int and type(v) is int for u, v in edges)
     assert (1, 2) in collinearity_graph(corr, at[0])
     assert (4, 6) in collinearity_graph(corr, at[3])
+    with pytest.raises(ValueError, match="correlation matrix must be square"):
+        collinearity_graph(corr[:, :5], 0.5)
 
 
 EXACT_DEPENDENCE = {

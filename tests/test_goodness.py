@@ -41,6 +41,8 @@ def test_system_validation():
         GoodnessSystem(universe=(1, 1, 2), f=lambda s: frozenset(U), g=lambda x, s: True)
     with pytest.raises(ValueError):  # f(empty) must be the whole universe
         GoodnessSystem(universe=U, f=lambda s: frozenset(), g=lambda x, s: True)
+    with pytest.raises(ValueError, match="universe must be non-empty"):
+        GoodnessSystem(universe=(), f=lambda s: frozenset(), g=lambda x, s: True)
 
 
 def test_graph_system_rejects_asymmetric_adjacency():
@@ -183,6 +185,9 @@ def test_attempt_success_bound_cases(path_system):
     assert attempt_success_bound(te, 4, 2) == Fraction(3, 4)
     with pytest.raises(ValueError):
         attempt_success_bound(te, 4, 1)
+    # the table covers p_1..p_3, one index short of L = 5
+    with pytest.raises(ValueError, match="table must cover indices up to 4"):
+        attempt_success_bound(te, 4, 5)
 
 
 def test_attempt_bound_never_exceeds_construction_bound():
@@ -275,6 +280,8 @@ def test_brute_force_examples(path_system, k4_system):
     assert found in ({frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 4})})
     with pytest.raises(BudgetError):
         brute_force_mutually_good(edgeless_system(20), 10, max_subsets=100)
+    with pytest.raises(ValueError, match="L must be at most 4, got 5"):
+        brute_force_mutually_good(path_system, 5)
     for bad in (2.5, nan):
         with pytest.raises(TypeError):
             brute_force_mutually_good(path_system, bad)

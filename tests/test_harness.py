@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from niceset import (BudgetError, ConflictSpec, ExperimentConfig, Instance,
-                     binomial_deviation_tail, existence_violations,
+                     binomial_deviation_tail, existence_violations, goodness,
                      instance_system, run_bound_experiment, run_chernoff_check,
                      run_lemma_verification, solvers)
 from niceset.rng import derive_seed, generator
@@ -80,8 +80,11 @@ def test_budget_errors_carry_the_trial_index(monkeypatch):
     exact = solvers.max_nice_exact
     monkeypatch.setattr(solvers, "max_nice_exact", lambda inst: exact(inst, node_budget=2))
     cfg = ExperimentConfig(m=20, p=0.5, trials=3, seed=2)
-    with pytest.raises(BudgetError, match="^trial 0: exact search exceeded node budget 2$"):
+    with pytest.raises(BudgetError,
+                       match="^trial 0: exact search exceeded node budget 2$") as info:
         run_bound_experiment(cfg)
+    # the re-raise keeps the best set found, and its size follows from it
+    assert info.value.best_size == len(info.value.best_vertices) >= 1
 
 
 def test_per_trial_seeds_do_not_depend_on_trial_count():
@@ -120,6 +123,16 @@ def test_lemma_verification_above_ten_elements():
     assert report.counterexamples == ()
     assert report.conditions_fired > 0
     assert run_lemma_verification(count=30, n_max=12, seed=5) == report
+
+
+def test_lemma_verification_reports_each_counterexample_with_its_system(monkeypatch):
+    # no search finds a set, so every condition that fires is a counterexample
+    monkeypatch.setattr(goodness, "brute_force_mutually_good", lambda *args, **kwargs: None)
+    report = run_lemma_verification(count=3, n_max=6, seed=3)
+    counterexamples = report.to_dict()["counterexamples"]
+    assert report.conditions_fired == len(counterexamples) == 3
+    assert counterexamples[0] == {"L": 2, "N": 3, "p": "1", "q": "1/3", "system_index": 0}
+    assert [c["system_index"] for c in counterexamples] == [0, 0, 2]
 
 
 def test_lemma_verification_budget_error_names_the_system():

@@ -15,7 +15,7 @@ from niceset import (BudgetError, ConflictSpec, Instance, NiceSetResult, derive_
                      goodness, greedy_nice, instance_system, is_nice, max_nice_exact,
                      randomized_construct, randomized_nice, sample_instance, select_features,
                      solve, solvers)
-from niceset.instance import METHODS
+from niceset.solvers import METHODS
 
 from .conftest import enumerate_max_nice, reference_adjacency
 
@@ -50,8 +50,12 @@ def test_exact_budget_error_carries_best_so_far():
     with pytest.raises(BudgetError) as info:
         max_nice_exact(inst, node_budget=3)
     err = info.value
-    assert err.best_size is not None and err.best_size >= 1
+    assert err.best_size == len(err.best_vertices) >= 1
     assert is_nice(err.best_vertices, inst)
+    # the size is read from the set, never passed beside it
+    assert BudgetError("no set").best_size is None
+    with pytest.raises(TypeError):
+        BudgetError("budget", best_vertices=frozenset({1}), best_size=1)
     with pytest.raises(ValueError):
         max_nice_exact(inst, node_budget=0)
     for idx in range(30):
@@ -179,8 +183,7 @@ def reference_randomized_scan(inst, max_restarts, seed):
         found = randomized_construct(system, target, max_restarts=max_restarts,
                                      seed=derive_seed(seed, target))
         if found is not None:
-            return NiceSetResult(vertices=found, size=len(found), method="randomized",
-                                 seed=seed)
+            return NiceSetResult(vertices=found, method="randomized", seed=seed)
     raise AssertionError("singleton draws always succeed")
 
 
@@ -220,8 +223,7 @@ def reference_row_scan(inst, max_restarts, seed):
             mask = sum(1 << v for v in row)  # rows are distinct, so sum == union
             if not any(adj[v] & mask for v in row):
                 vertices = frozenset(v + 1 for v in row)
-                return NiceSetResult(vertices=vertices, size=target, method="randomized",
-                                     seed=seed)
+                return NiceSetResult(vertices=vertices, method="randomized", seed=seed)
     raise AssertionError("singleton draws always succeed")
 
 
