@@ -17,12 +17,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CsvError, count, real
-from .instance import Edge, Instance, is_nice
+from .instance import Edge, Instance
 from .solvers import solve
 
 VIF_MAX = 1e12
@@ -83,7 +83,8 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
     that is not UTF-8 and records the ``csv`` module rejects (such as a
     field over its size limit), naming the file.  Missing values are
     rejected, not imputed.  A ``delimiter`` that is not one character
-    raises ``ValueError`` before the file is opened.
+    raises ``ValueError`` before the file is opened.  A leading UTF-8
+    byte-order mark is dropped; one anywhere else is text.
 
     The file is read and decoded once, before any parsing, so pipes and
     FIFOs work.  One ``csv`` reader over its lines reads the header and
@@ -98,7 +99,7 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise CsvError(f"{path}: not UTF-8 text: {exc.reason}") from None
@@ -329,19 +330,28 @@ def _vif_screen(corr: np.ndarray, n: int, lambda_mc: float, k_top: int) -> np.nd
 @dataclass(frozen=True)
 class SelectionReport:
     """Outcome of a feature-selection run; ``selected`` holds feature names
-    in column order and is always verified nice against the derived
-    ``instance``, which is kept for the caller but neither serialized nor
-    compared."""
+    in column order, and :func:`~niceset.solvers.solve` has checked it nice
+    against the derived ``instance``.  The instance is not serialized; the
+    edge and conflict counts are read from it."""
 
     selected: tuple[str, ...]
     method: str
     lambda_c: float
     lambda_mc: float
-    edge_count: int
-    conflict_max: int
-    conflict_mean: float
-    witness_checked: bool
-    instance: Instance = field(compare=False, repr=False)
+    instance: Instance = field(repr=False)
+    witness_checked: ClassVar[bool] = True  # no report exists without solve's check
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.instance.edges)
+
+    @property
+    def conflict_max(self) -> int:
+        return max(map(len, self.instance.conflicts.values()))
+
+    @property
+    def conflict_mean(self) -> float:
+        return float(sum(map(len, self.instance.conflicts.values()))) / self.instance.m
 
     def to_dict(self) -> dict:
         return {
@@ -372,23 +382,10 @@ def select_features(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,
     ``method`` is one of ``exact`` (branch and bound with the default node
     budget; raises :class:`BudgetError` when the budget runs out),
     ``greedy``, or ``randomized`` (seeded with ``seed``), run through
-    :func:`~niceset.solvers.solve`.  The result is re-verified with the
-    niceness predicate before reporting.
+    :func:`~niceset.solvers.solve`, which raises unless the set is nice.
     """
     inst = build_instance(fm, lambda_c, lambda_mc, k_top)
     result = solve(inst, method, seed)
-    witness = is_nice(result.vertices, inst)
-    if not witness:
-        raise RuntimeError("solver returned a non-nice set")
-    sizes = [len(inst.conflicts[v]) for v in range(1, inst.m + 1)]
-    return SelectionReport(
-        selected=tuple(fm.names[v - 1] for v in sorted(result.vertices)),
-        method=method,
-        lambda_c=float(lambda_c),
-        lambda_mc=float(lambda_mc),
-        edge_count=len(inst.edges),
-        conflict_max=max(sizes),
-        conflict_mean=float(sum(sizes)) / len(sizes),
-        witness_checked=witness,
-        instance=inst,
-    )
+    return SelectionReport(selected=tuple(fm.names[v - 1] for v in sorted(result.vertices)),
+                           method=method, lambda_c=float(lambda_c),
+                           lambda_mc=float(lambda_mc), instance=inst)

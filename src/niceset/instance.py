@@ -54,12 +54,12 @@ class Instance:
     ``{3: {4}}`` becomes ``T(3) = {4}, T(4) = {3}``.  Self-conflicts,
     out-of-range vertices and a non-integer ``m`` or vertex are rejected.
 
-    ``conflicts`` is a mapping ``v -> T(v)`` or an array of ``(v, u)`` rows
-    meaning ``u in T(v)``.  Every input becomes an integer ``(k, 2)`` row
-    array before anything is built.  An integer array of rows (as
-    :func:`sample_instance` passes them) is validated in numpy; any other
-    input, or a rejected array, is walked pair by pair, edges before
-    conflicts, and the first bad vertex or pair raises.
+    ``conflicts`` is a mapping ``v -> T(v)`` or an iterable (a list, an
+    array) of ``(v, u)`` rows meaning ``u in T(v)``.  Every input becomes an
+    integer ``(k, 2)`` row array before anything is built.  An integer array
+    of rows (as :func:`sample_instance` passes them) is validated in numpy;
+    any other input, or a rejected array, is walked pair by pair, edges
+    before conflicts, and the first bad vertex or pair raises.
 
     ``adjacency`` is the read-only ``m x m`` boolean union-graph adjacency:
     entry ``[u-1, v-1]`` is true iff ``(u, v)`` is an edge or ``u in T(v)``.
@@ -72,12 +72,12 @@ class Instance:
     conflicts: Mapping[int, frozenset[int]]
 
     def __init__(self, m: int, edges: Iterable[Iterable[int]] = (),
-                 conflicts: Mapping[int, Iterable[int]] | np.ndarray | None = None):
+                 conflicts: Mapping[int, Iterable[int]] | Iterable[Iterable[int]] | None = None):
         m = count("m", m, 1)
         edge_rows = _rows(edges, ((u, (v,)) for u, v in edges), m, "self-loop at vertex {}")
         conflicts = {} if conflicts is None else conflicts
-        items = (((v, (u,)) for v, u in conflicts) if isinstance(conflicts, np.ndarray)
-                 else conflicts.items())
+        items = (conflicts.items() if isinstance(conflicts, Mapping)
+                 else ((v, (u,)) for v, u in conflicts))
         conflict_rows = _rows(conflicts, items, m, "vertex {} conflicts with itself")
         adjacency = np.zeros((m, m), dtype=bool)
         adjacency[conflict_rows[:, 0] - 1, conflict_rows[:, 1] - 1] = True

@@ -142,16 +142,17 @@ def test_select_subcommand(capsys, tmp_path):
     assert inst.m == 3 and (1, 2) in inst.edges
 
 
-def _planted_select(capsys, tmp_path):
-    fm = planted_block_matrix(n=300, n_blocks=3, block_size=4, n_indep=5, noise=0.1,
-                              seed=2026)
+def _planted_select(capsys, tmp_path, fm=None, method="greedy"):
+    if fm is None:
+        fm = planted_block_matrix(n=300, n_blocks=3, block_size=4, n_indep=5, noise=0.1,
+                                  seed=2026)
     csv_path = tmp_path / "planted.csv"
     csv_path.write_text("\n".join([",".join(fm.names)] + [
         ",".join(repr(float(x)) for x in row) for row in fm.data]) + "\n")
     out_path, inst_path = tmp_path / "sel.json", tmp_path / "inst.json"
     code, _, err = run_cli(capsys, [
         "select", "--input", str(csv_path), "--lambda-c", "0.8", "--lambda-mc", "5",
-        "--method", "greedy", "--seed", "7", "--json", str(out_path),
+        "--method", method, "--seed", "7", "--json", str(out_path),
         "--instance-json", str(inst_path)])
     assert code == 0, err
     return fm, out_path.read_bytes(), inst_path.read_bytes()
@@ -164,6 +165,24 @@ def test_select_golden_digests(capsys, tmp_path):
         "4346a8b37d856bcc6d3b925fab1c22e5e3dc803e7e0cdc43b4358983a6b5476a"
     assert hashlib.sha256(instance).hexdigest() == \
         "267f6d964da797dd7eb0e00432cf69daec14773cb4951b60463d1bd4f7bf9127"
+
+
+# SHA-256 of the report and of the instance that select writes for each
+# method, on a planted CSV with four blocks of three and eight independents
+SELECT_GOLDEN = {
+    "exact": "ce7a6f3c578989d4c3d2bf6cf52b8369dba210c7b50ca420949cc43a17ff06bc",
+    "greedy": "58121abd5c698d87e92da6a2bfb3c1b4b3d8ea503268ec1246c17b6e0578950f",
+    "randomized": "3784054bb77d7aace9d7a00f03358e1646c0a662e406e5dd65f17f77b513f7f3",
+}
+SELECT_GOLDEN_INSTANCE = "d78fc9c61f68a3bda2f86fcbcaa69410fded3e9f9b14fa8d6f296ada7a21ed22"
+
+
+@pytest.mark.parametrize("method", sorted(SELECT_GOLDEN))
+def test_select_report_golden_digests(capsys, tmp_path, method):
+    fm = planted_block_matrix(n=250, n_blocks=4, block_size=3, n_indep=8, noise=0.1, seed=24)
+    _, report, instance = _planted_select(capsys, tmp_path, fm, method)
+    assert (hashlib.sha256(report).hexdigest(), hashlib.sha256(instance).hexdigest()) == \
+        (SELECT_GOLDEN[method], SELECT_GOLDEN_INSTANCE)
 
 
 def test_select_derives_the_instance_once(capsys, tmp_path, monkeypatch):

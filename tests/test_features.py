@@ -1,7 +1,9 @@
 """CSV ingestion, correlations, VIF, conflict sets, and end-to-end selection."""
 
+import codecs
 import contextlib
 import csv
+import dataclasses
 import math
 import os
 import threading
@@ -11,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from niceset import (CsvError, FeatureMatrix, VIF_MAX, build_instance, cli,
-                     collinearity_graph, conflict_sets, features, is_nice, load_csv,
-                     pearson_matrix, select_features, vif)
+import niceset
+from niceset import (CsvError, FeatureMatrix, Instance, SelectionReport, VIF_MAX,
+                     build_instance, cli, collinearity_graph, conflict_sets, features, is_nice,
+                     load_csv, pearson_matrix, select_features, vif)
 from niceset.features import _COEF_FLOOR, _RIDGE, _standardized_columns
 
 from .conftest import planted_block_matrix
@@ -89,7 +92,7 @@ def test_load_csv_rejects_text_that_is_not_utf8(tmp_path):
 
 def reference_load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatrix:
     """Reference: the cell-by-cell loader, in file order."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         records = [(number, record)
                    for number, record in enumerate(csv.reader(handle, delimiter=delimiter), start=1)
                    if record]
@@ -169,7 +172,7 @@ def csv_texts(draw):
         lines.append(delimiter.join(draw(st.lists(cells, min_size=row_width,
                                                   max_size=row_width))))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = newline.join(lines) + newline
+    text = draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + newline
     return text, delimiter, has_header
 
 
@@ -231,6 +234,29 @@ def test_load_csv_reads_the_csv_field_limit_at_call_time(tmp_path):
             load_csv(path)
     finally:
         csv.field_size_limit(old)
+
+
+def test_load_csv_drops_a_byte_order_mark_before_the_header(tmp_path):
+    text = "a,b\n1,2\n2,4\n3,7\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert load_csv(path).names == ("a", "b")
+    assert outcome(load_csv, path) == outcome(load_csv, write(tmp_path, text)) \
+        == outcome(reference_load_csv, path)
+
+
+def test_load_csv_drops_a_byte_order_mark_before_the_first_cell(tmp_path):
+    text = "-0.25,2\n1,2\n2,4\n3,7\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert load_csv(path, has_header=False).data[0].tolist() == [-0.25, 2.0]
+    assert outcome(load_csv, path, has_header=False) \
+        == outcome(load_csv, write(tmp_path, text), has_header=False) \
+        == outcome(reference_load_csv, path, has_header=False)
+    # only a leading mark is dropped: one inside the text is a bad cell
+    path.write_bytes(codecs.BOM_UTF8 + (text + "\ufeff4,5\n").encode())
+    with pytest.raises(CsvError, match="record 5, column 'f1': not a number"):
+        load_csv(path, has_header=False)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -849,18 +875,47 @@ def test_select_reports_instance_facts():
     fm = planted_block_matrix(n=150, n_blocks=1, block_size=3, n_indep=2, seed=3)
     inst = build_instance(fm, lambda_c=0.8, lambda_mc=5.0)
     report = select_features(fm, lambda_c=0.8, lambda_mc=5.0, method="greedy")
+    assert report.instance == inst
     assert report.edge_count == len(inst.edges)
-    assert report.conflict_max == max(len(ts) for ts in inst.conflicts.values())
+    sizes = [len(inst.conflicts[v]) for v in range(1, inst.m + 1)]
+    assert report.conflict_max == max(sizes)
+    assert report.conflict_mean == float(sum(sizes)) / len(sizes)
+    assert report.witness_checked is True
     selected_vertices = {fm.names.index(name) + 1 for name in report.selected}
     assert is_nice(selected_vertices, inst)
     payload = report.to_dict()
     assert set(payload) == {"selected", "method", "lambda_c", "lambda_mc",
                             "edge_count", "conflict_stats", "witness_checked"}
     assert set(payload["conflict_stats"]) == {"max", "mean"}
+    # the report stores what select decided; the counts are read from the instance
+    assert [f.name for f in dataclasses.fields(SelectionReport)] == \
+        ["selected", "method", "lambda_c", "lambda_mc", "instance"]
+    with pytest.raises(TypeError):
+        SelectionReport(report.selected, "greedy", 0.8, 5.0, inst, witness_checked=True)
+    with pytest.raises(AttributeError):
+        report.edge_count = 0
+    bare = dataclasses.replace(report, instance=Instance(inst.m))
+    assert bare != report and (bare.edge_count, bare.conflict_max) == (0, 0)
+    assert "instance" not in repr(report)
+
+
+def test_select_checks_niceness_once(monkeypatch):
+    calls = []
+    # every module select_features can reach that binds is_nice
+    for module in (niceset, niceset.instance, niceset.solvers, features):
+        if "is_nice" in vars(module):
+            def counted(s, inst, _original=module.is_nice):
+                calls.append(s)
+                return _original(s, inst)
+
+            monkeypatch.setattr(module, "is_nice", counted)
+    fm = planted_block_matrix(n=150, n_blocks=1, block_size=3, n_indep=2, seed=3)
+    report = select_features(fm, lambda_c=0.8, lambda_mc=5.0, method="greedy")
+    assert len(calls) == 1 and len(calls[0]) == len(report.selected)
 
 
 def test_select_witness_check_rejects_non_nice_answer(monkeypatch):
-    monkeypatch.setattr(features, "is_nice", lambda s, inst: False)
+    monkeypatch.setattr(niceset.solvers, "is_nice", lambda s, inst: False)
     fm = FeatureMatrix(names=("a", "b", "c"), data=ORTHOGONAL)
     with pytest.raises(RuntimeError, match="non-nice"):
         select_features(fm, lambda_c=0.8, lambda_mc=5.0, method="greedy")

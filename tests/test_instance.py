@@ -221,6 +221,14 @@ def test_equal_instances_hash_alike():
     assert len({listed, Instance(4, edges=edges), Instance(3)}) == 3
 
 
+def test_conflict_rows_may_be_a_list_an_array_or_a_mapping():
+    rows = [(1, 2), (1, 3), (4, 2)]
+    mapped = Instance(4, conflicts={1: [2, 3], 4: [2]})
+    assert Instance(4, conflicts=rows) == Instance(4, conflicts=np.array(rows)) == mapped
+    with pytest.raises(TypeError):
+        Instance(4, conflicts=5)
+
+
 def pair_rows(pairs) -> np.ndarray:
     return np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
 
