@@ -7,10 +7,23 @@ import itertools
 import numpy as np
 import pytest
 
-from niceset import FeatureMatrix, Instance, graph_system
+from niceset import FeatureMatrix, Instance, graph_system, harness
 
 PATH_ADJACENCY = {1: {2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
 K4_ADJACENCY = {1: {2, 3, 4}, 2: {1, 3, 4}, 3: {1, 2, 4}, 4: {1, 2, 3}}
+
+
+@pytest.fixture(autouse=True)
+def _workers_see_patches(request):
+    """Trial workers are forked copies of the test process and keep what was
+    patched when they were forked, so a test that patches starts and ends
+    without any."""
+    patching = "monkeypatch" in request.fixturenames
+    if patching:
+        harness._stop_workers()
+    yield
+    if patching:
+        harness._stop_workers()
 
 
 @pytest.fixture

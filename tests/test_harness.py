@@ -1,5 +1,6 @@
 """Experiment engine: determinism, report invariants, and the exact oracles."""
 
+import json
 import time
 from fractions import Fraction
 from math import comb, nan, sqrt
@@ -225,3 +226,13 @@ def test_chernoff_check_report():
     for bad_trials in (2.5, nan):  # refused at entry, not inside numpy's binomial
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             run_chernoff_check(r=40, bernoulli_p=0.5, gamma=0.5, trials=bad_trials)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), True], ids=["numpy-int", "bool"])
+def test_chernoff_report_holds_the_seed_as_an_int(seed):
+    # the report held the caller's object: np.int64 did not serialize, True read "true"
+    report = run_chernoff_check(r=40, bernoulli_p=0.5, gamma=0.5, trials=100, seed=seed)
+    assert type(report.seed) is int and report.seed == int(seed)
+    assert json.loads(json.dumps(report.to_dict()))["seed"] == int(seed)
+    assert report == run_chernoff_check(r=40, bernoulli_p=0.5, gamma=0.5, trials=100,
+                                        seed=int(seed))
