@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+import niceset
 from niceset import FeatureMatrix, Instance, graph_system, harness
 
 PATH_ADJACENCY = {1: {2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
 K4_ADJACENCY = {1: {2, 3, 4}, 2: {1, 3, 4}, 3: {1, 2, 4}, 4: {1, 2, 3}}
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this niceset."""
+    src = os.path.dirname(os.path.dirname(niceset.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(autouse=True)

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -10,11 +9,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import niceset
 from niceset import Instance, build_instance, features, goodness, solvers
 from niceset.cli import main
 
-from .conftest import planted_block_matrix
+from .conftest import child_env, planted_block_matrix
 
 
 def run_cli(capsys, argv):
@@ -447,12 +445,9 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path, argv):
 def test_importing_the_cli_loads_no_process_pool():
     # the trial workers are forked directly; multiprocessing and
     # concurrent.futures would add their import time to every CLI process
-    src = os.path.dirname(os.path.dirname(niceset.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = ("import sys, niceset.cli; print(sorted(m for m in sys.modules "
               "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

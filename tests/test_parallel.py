@@ -11,12 +11,11 @@ import time
 
 import pytest
 
-import niceset
 from niceset import (BudgetError, ConflictSpec, ExperimentConfig, harness,
                      run_bound_experiment, sample_instance, solve)
 from niceset.rng import derive_seed
 
-SRC = os.path.dirname(os.path.dirname(niceset.__file__))
+from .conftest import child_env
 
 
 def trial_by_trial(cfg, monkeypatch):
@@ -201,9 +200,7 @@ TRIAL_S = 0.5
 
 
 def python(*args, **kwargs) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+    return subprocess.Popen([sys.executable, *args], env=child_env(), stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
 

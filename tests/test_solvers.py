@@ -1,7 +1,6 @@
 """Solver correctness: exact against enumeration, greedy traces, randomized."""
 
 import inspect
-import os
 import subprocess
 import sys
 import textwrap
@@ -17,7 +16,7 @@ from niceset import (BudgetError, ConflictSpec, Instance, NiceSetResult, derive_
                      solve, solvers)
 from niceset.solvers import METHODS
 
-from .conftest import enumerate_max_nice, reference_adjacency
+from .conftest import child_env, enumerate_max_nice, reference_adjacency
 
 
 def complete_instance(m):
@@ -332,10 +331,7 @@ _WITNESS_UNDER_O = textwrap.dedent("""
 
 
 def test_witness_checks_survive_optimized_mode():
-    src = os.path.dirname(os.path.dirname(niceset.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", _WITNESS_UNDER_O], env=env,
+    done = subprocess.run([sys.executable, "-O", "-c", _WITNESS_UNDER_O], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "4"]
