@@ -4,7 +4,8 @@ Subcommands: ``simulate-upper``, ``simulate-lower``, ``verify-lemma``,
 ``chernoff``, ``bounds``, ``select``.  Human-readable summaries go to stdout;
 the structured JSON report is written to ``--json PATH`` when given and to
 stdout otherwise.  With a fixed ``--seed`` the JSON is byte-identical across
-runs.  Exit codes: 0 success, 1 domain or parse error, 2 budget exceeded.
+runs.  Exit codes: 0 success, 1 domain or parse error, 2 budget exceeded,
+130 interrupted (Ctrl-C, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

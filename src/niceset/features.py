@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -142,45 +141,38 @@ def _numpy_body(lines: list[str], delimiter: str,
 
 
 def _csv_body(path, records, names: tuple[str, ...] | None) -> np.ndarray:
-    """The rest of ``records`` read as the body, every cell parsed by
-    ``float`` in one pass; a rejected body is walked again for the first bad
-    cell."""
-    body = list(records)
-    if not body:
-        raise CsvError(f"{path}: " + ("empty file" if names is None else "no data rows"))
-    width = len(body[0][1]) if names is None else len(names)
-    good = next((i for i, (_, record) in enumerate(body) if len(record) != width), len(body))
-    cells = chain.from_iterable(record for _, record in body[:good])
-    try:
-        data = np.fromiter(map(float, cells), dtype=float, count=good * width)
-    except ValueError:
-        data = None
-    if data is None or good < len(body) or not np.isfinite(data).all():
-        raise _first_cell_error(path, body, names, width)
-    if len(body) < 3:
-        raise CsvError(f"{path}: need at least 3 data rows, got {len(body)}")
-    return data.reshape(len(body), width)
-
-
-def _first_cell_error(path, body, names: tuple[str, ...] | None, width: int) -> CsvError:
-    """The error for the first bad record or cell of a rejected CSV body, in
-    file order: a ragged record, else a cell ``float`` rejects, else a
+    """The rest of ``records`` read as the body, each record parsed by
+    ``float`` at once; the first record that fails is walked for its error:
+    a ragged record, else its first cell ``float`` rejects or reads as a
     non-finite value."""
-    for number, record in body:
+    rows, width = [], None if names is None else len(names)
+    for number, record in records:
+        width = len(record) if width is None else width
         if len(record) != width:
-            return CsvError(f"{path}: record {number} has {len(record)} fields, expected {width}",
-                            record=number)
+            raise CsvError(f"{path}: record {number} has {len(record)} fields, expected {width}",
+                           record=number)
+        try:
+            row = list(map(float, record))
+        except ValueError:
+            row = None
+        if row is not None and all(map(math.isfinite, row)):
+            rows.append(row)
+            continue
         for col, cell in enumerate(record, start=1):
             label = names[col - 1] if names else f"f{col}"
             try:
                 value = float(cell)
             except ValueError:
-                return CsvError(f"{path}: record {number}, column {label!r}: "
-                                f"not a number: {cell!r}", record=number, column=label)
+                raise CsvError(f"{path}: record {number}, column {label!r}: "
+                               f"not a number: {cell!r}", record=number, column=label) from None
             if not math.isfinite(value):
-                return CsvError(f"{path}: record {number}, column {label!r}: "
-                                f"non-finite value {cell!r}", record=number, column=label)
-    raise RuntimeError(f"{path}: rejected CSV body has no bad record or cell")
+                raise CsvError(f"{path}: record {number}, column {label!r}: "
+                               f"non-finite value {cell!r}", record=number, column=label)
+    if not rows:
+        raise CsvError(f"{path}: " + ("empty file" if names is None else "no data rows"))
+    if len(rows) < 3:
+        raise CsvError(f"{path}: need at least 3 data rows, got {len(rows)}")
+    return np.array(rows, dtype=float)
 
 
 def _constant(columns: np.ndarray, sd: np.ndarray | float) -> np.ndarray:

@@ -120,14 +120,14 @@ def instance_system(inst: Instance) -> GoodnessSystem:
     edges.  The constraint accepts ``x`` with respect to chosen set ``I``
     when ``x`` lies in no chosen vertex's closed conflict set
     ``T(v) | {v}``: an accepted element avoids every chosen vertex and all
-    of their conflict partners.  A set is mutually good and constrained here
-    exactly when it is nice in ``inst``.
+    of their conflict partners.  The family is symmetric, so that is
+    ``x not in I`` and ``T(x)`` disjoint from ``I``.  A set is mutually good
+    and constrained here exactly when it is nice in ``inst``.
     """
-    vertices = range(1, inst.m + 1)
-    closed = {v: inst.conflicts[v] | {v} for v in vertices}
+    vertices, conflicts = range(1, inst.m + 1), inst.conflicts
 
     def g(x, chosen: frozenset) -> bool:
-        return not any(x in closed[v] for v in chosen)
+        return x not in chosen and not conflicts[x] & chosen
 
     neighbors = {v: set() for v in vertices}
     for u, v in inst.edges:

@@ -189,6 +189,11 @@ def csv_texts(draw):
 @example(case=("1\n2\n3\n4\n", "\n", False))
 @example(case=("a,b\n1,2,3\n4,5,6\n7,8,9\n", ",", True))
 @example(case=("a\r1\r2\r3\r", "\r", True))
+# the first error in file order: a non-finite cell before a non-number in one
+# record, a bad cell before a ragged record, a ragged record before a bad cell
+@example(case=("a,b,c\n1,inf,x\n2,3,4\n5,6,7\n", ",", True))
+@example(case=("a,b\n1,x\n2,3,4\n5,6\n7,8\n", ",", True))
+@example(case=("a,b\n1,2,3\n4,x\n5,6\n7,8\n", ",", True))
 def test_load_csv_matches_reference_loader(tmp_path_factory, case):
     text, delimiter, has_header = case
     path = tmp_path_factory.mktemp("csv") / "data.csv"

@@ -524,8 +524,11 @@ def test_instance_system_matches_the_pairwise_edge_builder(p):
                 for v in system.universe:
                     single = frozenset([v])
                     assert system.f(single) == reference.f(single)
-                    for x in system.universe:
-                        assert system.g(x, single) == reference.g(x, single)
+                # the fractions read g on chosen sets of every size, not only singletons
+                for size in range(4):
+                    for chosen in map(frozenset, itertools.combinations(system.universe, size)):
+                        for x in system.universe:
+                            assert system.g(x, chosen) == reference.g(x, chosen)
 
 
 def test_system_from_singletons_requires_empty_to_map_to_universe():

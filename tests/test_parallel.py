@@ -176,7 +176,8 @@ def running(pid: int) -> bool:
 
 # Forces one worker whatever the machine, makes every trial take TRIAL_S,
 # prints the worker's pid once it exists, then runs 40 slow trials (about
-# 20 trials per range), or with "idle" sleeps while the worker waits.
+# 20 trials per range), with "cli" through the console script's entry point,
+# or with "idle" sleeps while the worker waits.
 SLOW_RUN = textwrap.dedent("""
     import sys, time
     from niceset import ExperimentConfig, harness, run_bound_experiment
@@ -194,6 +195,10 @@ SLOW_RUN = textwrap.dedent("""
     print(harness._workers[0].pid, flush=True)
     if mode == "idle":
         time.sleep(60)
+    if mode == "cli":
+        from niceset.cli import main
+        sys.exit(main(["simulate-lower", "--m", "10", "--p", "0.3", "--solver", "greedy",
+                       "--trials", "40", "--json", "/dev/null"]))
     run_bound_experiment(ExperimentConfig(m=10, p=0.3, trials=40, solver="greedy"))
 """)
 TRIAL_S = 0.5
@@ -263,6 +268,21 @@ def test_sigint_prints_one_traceback_and_leaves_no_worker():
     assert child.returncode != 0
     assert err.count("Traceback") == 1, err  # the parent's own KeyboardInterrupt
     assert err.rstrip().endswith("KeyboardInterrupt")
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
+
+
+def test_sigint_to_the_cli_exits_130_without_a_traceback_or_a_worker():
+    child = python("-c", SLOW_RUN, str(TRIAL_S), "cli", start_new_session=True)
+    try:
+        worker = int(child.stdout.readline())
+        time.sleep(TRIAL_S / 2)
+        os.killpg(child.pid, signal.SIGINT)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 130, err
+    assert "Traceback" not in err, err
     with pytest.raises(ProcessLookupError):
         os.kill(worker, 0)
 
