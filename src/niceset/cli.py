@@ -4,16 +4,20 @@ Subcommands: ``simulate-upper``, ``simulate-lower``, ``verify-lemma``,
 ``chernoff``, ``bounds``, ``select``.  Human-readable summaries go to stdout;
 the structured JSON report is written to ``--json PATH`` when given and to
 stdout otherwise.  With a fixed ``--seed`` the JSON is byte-identical across
-runs.  Exit codes: 0 success, 1 domain or parse error, 2 budget exceeded,
-130 interrupted (Ctrl-C, reported without a traceback).
+runs.  Exit codes: 0 success, 1 domain or parse error, 2 budget exceeded or
+out of memory (input too big for the method), 130 interrupted (Ctrl-C,
+reported without a traceback), 141 standard output closed early (as by
+``| head``; nothing more is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from .bounds import BoundParams, size_lower_bound, size_upper_bound
@@ -37,64 +41,65 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _common_flags(parser: argparse.ArgumentParser, trials_default: int | None = None,
-                  seeded: bool = True):
-    if seeded:
-        parser.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the JSON report to PATH instead of stdout")
-    if trials_default is not None:
-        parser.add_argument("--trials", type=int, default=trials_default,
-                            help=f"number of Monte Carlo trials (default {trials_default})")
-
-
-def _conflict_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--conflict", choices=["none", "uniform-k"], default="none",
-                        help="none, or uniform-k with --k partners per vertex (default none)")
-    parser.add_argument("--k", type=int, default=0,
-                        help="conflict partners per vertex; needs --conflict uniform-k")
+def _trials(parser: argparse.ArgumentParser, default: int) -> None:
+    parser.add_argument("--trials", type=int, default=default,
+                        help=f"number of Monte Carlo trials (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flag groups that several subcommands share, as parent parsers
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", metavar="PATH", default=None,
+                        help="write the JSON report to PATH instead of stdout")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--m", type=int, required=True)
+    model.add_argument("--p", type=float, required=True)
+    model.add_argument("--gamma", type=float, default=1.0)
+    model.add_argument("--delta", type=float, default=0.25)
+
     parser = _Parser(prog="niceset",
                      description="Nice (low-redundancy) subset model: solvers, "
                                  "bound checks, and feature selection.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     for which in ("upper", "lower"):
-        sim = sub.add_parser(f"simulate-{which}",
+        sim = sub.add_parser(f"simulate-{which}", parents=[model, seed, report],
                              help=f"Monte Carlo check of the size {which} bound")
-        sim.add_argument("--m", type=int, required=True)
-        sim.add_argument("--p", type=float, required=True)
-        sim.add_argument("--gamma", type=float, default=1.0)
-        sim.add_argument("--delta", type=float, default=0.25)
+        sim.set_defaults(run=_cmd_simulate)
         sim.add_argument("--solver", choices=METHODS, default="exact")
-        _conflict_flags(sim)
-        _common_flags(sim, trials_default=100)
+        sim.add_argument("--conflict", choices=["none", "uniform-k"], default="none",
+                         help="none, or uniform-k with --k partners per vertex (default none)")
+        sim.add_argument("--k", type=int, default=0,
+                         help="conflict partners per vertex; needs --conflict uniform-k")
+        _trials(sim, 100)
 
-    lem = sub.add_parser("verify-lemma",
+    lem = sub.add_parser("verify-lemma", parents=[seed, report],
                          help="existence sweep for mutually good constrained sets")
+    lem.set_defaults(run=_cmd_verify_lemma)
     lem.add_argument("--count", type=int, default=500, help="systems to generate")
     lem.add_argument("--n-max", type=int, default=8,
                      help="largest universe size (default 8); a system too large "
                           "for the enumeration budget exits 2")
-    _common_flags(lem)
 
-    ch = sub.add_parser("chernoff", help="empirical Bernoulli-sum deviation check")
+    ch = sub.add_parser("chernoff", parents=[seed, report],
+                        help="empirical Bernoulli-sum deviation check")
+    ch.set_defaults(run=_cmd_chernoff)
     ch.add_argument("--r", type=int, required=True, help="summands per trial")
     ch.add_argument("--p", type=float, required=True, help="Bernoulli success probability")
     ch.add_argument("--gamma", type=float, default=0.5, help="relative deviation, in (0, 1/2]")
-    _common_flags(ch, trials_default=100_000)
+    _trials(ch, 100_000)
 
-    bo = sub.add_parser("bounds", help="evaluate the closed-form size bounds")
-    bo.add_argument("--m", type=int, required=True)
-    bo.add_argument("--p", type=float, required=True)
-    bo.add_argument("--gamma", type=float, default=1.0)
-    bo.add_argument("--delta", type=float, default=0.25)
+    # the bounds are closed forms; nothing is drawn, so there is no --seed
+    bo = sub.add_parser("bounds", parents=[model, report],
+                        help="evaluate the closed-form size bounds")
+    bo.set_defaults(run=_cmd_bounds)
     bo.add_argument("--tau", type=float, default=1.0)
-    _common_flags(bo, seeded=False)  # the bounds are closed forms; nothing is drawn
 
-    se = sub.add_parser("select", help="select a nice feature subset from a CSV")
+    se = sub.add_parser("select", parents=[seed, report],
+                        help="select a nice feature subset from a CSV")
+    se.set_defaults(run=_cmd_select)
     se.add_argument("--input", required=True, help="CSV file of numeric features")
     se.add_argument("--lambda-c", type=float, required=True,
                     help="absolute correlation threshold, in (0, 1]")
@@ -108,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="the CSV has no header row; names become f1..fm")
     se.add_argument("--instance-json", metavar="PATH", default=None,
                     help="also write the derived instance as JSON")
-    _common_flags(se)
     return parser
 
 
@@ -131,14 +135,14 @@ def _emit(report: dict, args, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_simulate(args, which: str) -> None:
+def _cmd_simulate(args) -> None:
     if args.conflict == "none" and args.k != 0:
         raise ValueError(f"--k {args.k} needs --conflict uniform-k")
     cfg = ExperimentConfig(m=args.m, p=args.p, gamma=args.gamma, delta=args.delta,
                            conflicts=ConflictSpec.uniform(args.k), trials=args.trials,
                            seed=args.seed, solver=args.solver)
     rep = run_bound_experiment(cfg)
-    if which == "upper":
+    if args.command == "simulate-upper":
         lines = [
             f"threshold (upper): {rep.threshold_upper}",
             f"fraction of {rep.trials} trials at or above it: {_fmt(rep.frac_exceed_upper)}"
@@ -153,8 +157,7 @@ def _cmd_simulate(args, which: str) -> None:
             f"claimed failure probability: {_fmt(rep.claimed_lower_failure)}",
             f"tau estimate: {_fmt(rep.tau_estimate)} (std {_fmt(rep.tau_std)})",
         ]
-    _emit({"schema": SCHEMA_VERSION, "kind": f"simulate-{which}", **rep.to_dict()},
-          args, lines)
+    _emit({"schema": SCHEMA_VERSION, "kind": args.command, **rep.to_dict()}, args, lines)
 
 
 def _cmd_verify_lemma(args) -> None:
@@ -183,15 +186,9 @@ def _cmd_chernoff(args) -> None:
 def _cmd_bounds(args) -> None:
     params = BoundParams(m=args.m, p=args.p, gamma=args.gamma, delta=args.delta,
                          tau=args.tau)
-    upper = size_upper_bound(params)
-    lower = size_lower_bound(params)
-    report = {
-        "schema": SCHEMA_VERSION, "kind": "bounds",
-        "m": args.m, "p": args.p, "gamma": args.gamma, "delta": args.delta,
-        "tau": args.tau,
-        "upper": dataclasses.asdict(upper),
-        "lower": dataclasses.asdict(lower),
-    }
+    upper, lower = size_upper_bound(params), size_lower_bound(params)
+    report = {"schema": SCHEMA_VERSION, "kind": "bounds", **dataclasses.asdict(params),
+              "upper": dataclasses.asdict(upper), "lower": dataclasses.asdict(lower)}
     lines = [
         f"size upper bound: {_fmt(upper.value)} (failure probability {_fmt(upper.failure_prob)})",
         f"size lower bound: {_fmt(lower.value)} (failure probability {_fmt(lower.failure_prob)})",
@@ -221,17 +218,8 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("a subcommand is required")
-        handler = {
-            "simulate-upper": lambda a: _cmd_simulate(a, "upper"),
-            "simulate-lower": lambda a: _cmd_simulate(a, "lower"),
-            "verify-lemma": _cmd_verify_lemma,
-            "chernoff": _cmd_chernoff,
-            "bounds": _cmd_bounds,
-            "select": _cmd_select,
-        }[args.command]
-        handler(args)
+        args.run(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return 0
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
@@ -240,6 +228,16 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: what is left in the buffer goes to the null
+        # device, so that the interpreter's last flush fails no more (an
+        # in-process StringIO has no descriptor and keeps its text)
+        with open(os.devnull, "wb") as null, contextlib.suppress(OSError):
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

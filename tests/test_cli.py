@@ -1,7 +1,9 @@
 """CLI contract: flags, exit codes, JSON reports, reproducibility."""
 
+import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -9,8 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from niceset import Instance, build_instance, features, goodness, solvers
-from niceset.cli import main
+from niceset import Instance, build_instance, features, goodness, harness, solvers
+from niceset.cli import build_parser, main
 
 from .conftest import child_env, planted_block_matrix
 
@@ -222,6 +224,7 @@ def test_missing_subcommand_exits_one(capsys):
     code, _, err = run_cli(capsys, [])
     assert code == 1
     assert "usage" in err.lower()
+    assert err.endswith("error: the following arguments are required: COMMAND\n")
 
 
 def test_bounds_takes_no_seed(capsys):
@@ -451,3 +454,114 @@ def test_importing_the_cli_loads_no_process_pool():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# Every subcommand's options as (default, required, type, choices, nargs):
+# the flags a user can pass, which a change to how the parser is built must keep
+CLI_SURFACE = {
+    "simulate-upper": {
+        "--m": (None, True, int, None, None),
+        "--p": (None, True, float, None, None),
+        "--gamma": (1.0, False, float, None, None),
+        "--delta": (0.25, False, float, None, None),
+        "--solver": ("exact", False, None, ("exact", "greedy", "randomized"), None),
+        "--conflict": ("none", False, None, ("none", "uniform-k"), None),
+        "--k": (0, False, int, None, None),
+        "--seed": (0, False, int, None, None),
+        "--json": (None, False, None, None, None),
+        "--trials": (100, False, int, None, None),
+    },
+    "verify-lemma": {
+        "--count": (500, False, int, None, None),
+        "--n-max": (8, False, int, None, None),
+        "--seed": (0, False, int, None, None),
+        "--json": (None, False, None, None, None),
+    },
+    "chernoff": {
+        "--r": (None, True, int, None, None),
+        "--p": (None, True, float, None, None),
+        "--gamma": (0.5, False, float, None, None),
+        "--seed": (0, False, int, None, None),
+        "--json": (None, False, None, None, None),
+        "--trials": (100000, False, int, None, None),
+    },
+    "bounds": {
+        "--m": (None, True, int, None, None),
+        "--p": (None, True, float, None, None),
+        "--gamma": (1.0, False, float, None, None),
+        "--delta": (0.25, False, float, None, None),
+        "--tau": (1.0, False, float, None, None),
+        "--json": (None, False, None, None, None),
+    },
+    "select": {
+        "--input": (None, True, None, None, None),
+        "--lambda-c": (None, True, float, None, None),
+        "--lambda-mc": (None, True, float, None, None),
+        "--k-top": (3, False, int, None, None),
+        "--method": ("exact", False, None, ("exact", "greedy", "randomized"), None),
+        "--delimiter": (",", False, None, None, None),
+        "--no-header": (False, False, None, None, 0),
+        "--instance-json": (None, False, None, None, None),
+        "--seed": (0, False, int, None, None),
+        "--json": (None, False, None, None, None),
+    },
+}
+CLI_SURFACE["simulate-lower"] = CLI_SURFACE["simulate-upper"]
+
+
+def test_every_subcommand_keeps_its_options():
+    commands, = (action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands) == sorted(CLI_SURFACE)
+    for name, command in commands.items():
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        assert all(len(a.option_strings) == 1 for a in actions), name
+        options = {a.option_strings[0]: (a.default, a.required, a.type,
+                                         a.choices and tuple(a.choices), a.nargs)
+                   for a in actions}
+        assert options == CLI_SURFACE[name], name
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--m", "10", "--p", "0.5"],
+    ["simulate-upper", "--m", "10", "--p", "0.5", "--trials", "2"],
+    ["select", "--lambda-c", "0.8", "--lambda-mc", "5"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_141_quietly(tmp_path, argv, buffered):
+    # as under `niceset ... | head -c 5`: the reader is gone before the child
+    # has imported niceset, so its first write to stdout fails
+    if argv[0] == "select":
+        argv = argv + ["--input", write_csv(tmp_path, "f.csv", ["a", "b"],
+                                            [[1, 2], [2, 1], [3, 5], [4, 3]])]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen([sys.executable, "-m", "niceset.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_out_of_memory_exits_two(capsys, monkeypatch, cpus):
+    # an instance too large to allocate (m = 100000 asks numpy for 9.31 GiB)
+    # is input too big for the method; at 2 CPUs only the worker's trial
+    # fails, so the error crosses the worker pipe
+    here, sample = os.getpid(), harness.sample_instance
+
+    def sample_or_fail(*args, **kwargs):
+        if cpus == 1 or os.getpid() != here:
+            raise MemoryError(f"Unable to allocate in {os.getpid()}")
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "sample_instance", sample_or_fail)
+    code, out, err = run_cli(capsys, ["simulate-upper", "--m", "20", "--p", "0.5",
+                                      "--trials", "2", "--solver", "greedy"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: Unable to allocate in ")
+    assert err.count("\n") == 1
+    assert (int(err.split()[-1]) == here) == (cpus == 1)
