@@ -125,11 +125,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _emit(report: dict, args, lines: list[str]) -> None:
+def _emit(report: dict, args, lines: list[str], files=()) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.json:  # before the summary, so that a failed write prints none
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    # the --json report, then each further (path, text) of files, all before
+    # the summary: a failed write leaves no later file and prints no summary
+    for path, body in [(args.json, text), *files]:
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(body)
     print("\n".join(lines))
     if not args.json:
         sys.stdout.write(text)
@@ -201,17 +204,15 @@ def _cmd_select(args) -> None:
     fm = load_csv(args.input, delimiter=args.delimiter, has_header=not args.no_header)
     report = select_features(fm, lambda_c=args.lambda_c, lambda_mc=args.lambda_mc,
                              k_top=args.k_top, method=args.method, seed=args.seed)
-    if args.instance_json:
-        with open(args.instance_json, "w", encoding="utf-8") as handle:
-            handle.write(report.instance.to_json() + "\n")
     lines = [
         f"selected {len(report.selected)} of {fm.m} features: "
         + ", ".join(report.selected),
         f"edges: {report.edge_count}; conflict sizes max {report.conflict_max}, "
         f"mean {_fmt(report.conflict_mean)}; witness checked: {report.witness_checked}",
     ]
+    files = [(args.instance_json, report.instance.to_json() + "\n")] if args.instance_json else []
     _emit({"schema": SCHEMA_VERSION, "kind": "select", "seed": args.seed,
-           **report.to_dict()}, args, lines)
+           **report.to_dict()}, args, lines, files)
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,10 @@
 """CLI contract: flags, exit codes, JSON reports, reproducibility."""
 
 import argparse
+import codecs
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -76,6 +79,21 @@ def test_simulate_lower_reports(capsys, tmp_path):
     assert payload["frac_below_lower"] == 0.0
 
 
+def test_bounds_and_simulate_report_the_same_thresholds(capsys, tmp_path):
+    # both read each bound's threshold and failure probability from one
+    # BoundValue; with no conflicts simulate's tau is 1, the bounds default
+    model = ["--m", "400", "--p", "0.5"]
+    bounds_path, simulate_path = tmp_path / "bounds.json", tmp_path / "simulate.json"
+    assert run_cli(capsys, ["bounds", *model, "--json", str(bounds_path)])[0] == 0
+    assert run_cli(capsys, ["simulate-lower", *model, "--solver", "greedy", "--trials", "2",
+                            "--seed", "1", "--json", str(simulate_path)])[0] == 0
+    b, s = json.loads(bounds_path.read_text()), json.loads(simulate_path.read_text())
+    assert (b["upper"]["threshold"], b["lower"]["threshold"],
+            b["upper"]["failure_prob"], b["lower"]["failure_prob"]) == \
+        (s["threshold_upper"], s["threshold_lower"],
+         s["claimed_upper_failure"], s["claimed_lower_failure"])
+
+
 def test_verify_lemma_exit_zero(capsys, tmp_path):
     out_path = tmp_path / "lem.json"
     code, out, _ = run_cli(capsys, ["verify-lemma", "--count", "15",
@@ -146,13 +164,17 @@ def test_select_subcommand(capsys, tmp_path):
     assert inst.m == 3 and (1, 2) in inst.edges
 
 
+def planted_csv(fm) -> str:
+    return "\n".join([",".join(fm.names)] + [
+        ",".join(repr(float(x)) for x in row) for row in fm.data]) + "\n"
+
+
 def _planted_select(capsys, tmp_path, fm=None, method="greedy"):
     if fm is None:
         fm = planted_block_matrix(n=300, n_blocks=3, block_size=4, n_indep=5, noise=0.1,
                                   seed=2026)
     csv_path = tmp_path / "planted.csv"
-    csv_path.write_text("\n".join([",".join(fm.names)] + [
-        ",".join(repr(float(x)) for x in row) for row in fm.data]) + "\n")
+    csv_path.write_text(planted_csv(fm))
     out_path, inst_path = tmp_path / "sel.json", tmp_path / "inst.json"
     code, _, err = run_cli(capsys, [
         "select", "--input", str(csv_path), "--lambda-c", "0.8", "--lambda-mc", "5",
@@ -187,6 +209,34 @@ def test_select_report_golden_digests(capsys, tmp_path, method):
     _, report, instance = _planted_select(capsys, tmp_path, fm, method)
     assert (hashlib.sha256(report).hexdigest(), hashlib.sha256(instance).hexdigest()) == \
         (SELECT_GOLDEN[method], SELECT_GOLDEN_INSTANCE)
+
+
+def quote_all(text: str) -> str:
+    quoted = io.StringIO()
+    csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows(csv.reader(io.StringIO(text)))
+    return quoted.getvalue()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("piped", [
+    lambda text: quote_all(text).encode(),
+    lambda text: codecs.BOM_UTF8 + text.encode(),
+], ids=["quoted", "byte-order-mark"])
+def test_select_reads_a_pipe_as_the_file(capsys, tmp_path, piped):
+    # load_csv reads its input once, so a pipe through /dev/stdin gives the
+    # regular file's output byte for byte; here fully quoted, which the csv
+    # module reads, or led by a byte-order mark, which is dropped
+    text = planted_csv(planted_block_matrix())
+    csv_path = tmp_path / "planted.csv"
+    csv_path.write_text(text)
+    flags = ["--lambda-c", "0.8", "--lambda-mc", "5", "--method", "greedy", "--seed", "3"]
+    code, expected, err = run_cli(capsys, ["select", "--input", str(csv_path), *flags])
+    assert code == 0, err
+    done = subprocess.run([sys.executable, "-m", "niceset.cli", "select", "--input",
+                           "/dev/stdin", *flags], input=piped(text), env=child_env(),
+                          capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode() == expected
 
 
 def test_select_derives_the_instance_once(capsys, tmp_path, monkeypatch):
@@ -262,6 +312,7 @@ def test_domain_error_exits_one(capsys):
       "--conflict", "none", "--k", "2"], "--k 2 needs --conflict uniform-k"),
     (["simulate-lower", "--m", "10", "--p", "0.5", "--conflict", "uniform-k", "--k", "10"],
      "uniform-k spec needs k <= m-1, got k=10, m=10"),
+    (["simulate-upper", "--m", "10", "--p", "0.5", "--trials", "0"], "trials must be at least 1"),
 ])
 def test_non_finite_bound_parameters_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -345,10 +396,14 @@ def test_missing_file_exits_one(capsys):
     ["chernoff", "--r", "20", "--p", "0.5", "--trials", "100"],
     ["bounds", "--m", "10", "--p", "0.5"],
     ["select", "--lambda-c", "0.8", "--lambda-mc", "5"],
+    pytest.param(["select", "--lambda-c", "0.8", "--lambda-mc", "5",
+                  "--instance-json", "instance.json"], id="select-instance-json"),
 ], ids=lambda argv: argv[0])
-def test_failed_json_write_prints_no_summary(capsys, tmp_path, argv):
+def test_failed_json_write_prints_no_summary(capsys, tmp_path, monkeypatch, argv):
     # --json names a directory, so the report cannot be written; the run must
-    # fail before it prints a summary that reads like a success
+    # fail before it prints a summary that reads like a success, and before
+    # it writes the instance file
+    monkeypatch.chdir(tmp_path)
     if argv[0] == "select":
         argv = argv + ["--input", write_csv(tmp_path, "f.csv", ["a", "b"],
                                             [[1, 2], [2, 1], [3, 5], [4, 3]])]
@@ -356,6 +411,7 @@ def test_failed_json_write_prints_no_summary(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not os.path.exists("instance.json")
 
 
 # SHA-256 of each report written with --json, recorded before the randomized
@@ -435,6 +491,8 @@ def test_shared_parser_survives_failed_runs(capsys, tmp_path):
     ["simulate-lower", "--m", "10", "--p", "0.5", "--trials", "5", "--seed", "2"],
     ["verify-lemma", "--count", "10", "--n-max", "5", "--seed", "3"],
     ["chernoff", "--r", "20", "--p", "0.5", "--trials", "500", "--seed", "4"],
+    # from r = 1030 on, binomial coefficients overflow a float
+    ["chernoff", "--r", "2000", "--p", "0.5", "--trials", "1000", "--seed", "1"],
 ])
 def test_repeat_runs_are_byte_identical(capsys, tmp_path, argv):
     first, second = tmp_path / "a.json", tmp_path / "b.json"

@@ -324,3 +324,30 @@ def test_a_forked_child_starts_its_own_worker():
     assert result["same"] and result["mine"] and result["child_status"] == 0
     assert result["after"] == result["before"] and result["again"]
     assert not running(result["own"][0])  # the child's exit stopped its worker
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_a_process_pinned_to_one_cpu_runs_serially_with_the_same_report(tmp_path):
+    # the other tests patch harness._cpus; here the real affinity mask sets it
+    script = textwrap.dedent("""
+        import os, sys
+        from niceset import harness
+        from niceset.cli import main
+
+        out, mode = sys.argv[1:]
+        if mode == "pinned":
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        for solver in ("randomized", "exact"):
+            assert main(["simulate-lower", "--m", "60", "--p", "0.1", "--conflict", "uniform-k",
+                         "--k", "1", "--solver", solver, "--trials", "10", "--seed", "1",
+                         "--json", os.path.join(out, f"{mode}-{solver}.json")]) == 0
+        print(harness._cpus(), len(harness._workers))
+    """)
+    children = {mode: python("-c", script, str(tmp_path), mode) for mode in ("pinned", "free")}
+    outs = {mode: child.communicate(timeout=120) for mode, child in children.items()}
+    for mode, child in children.items():
+        assert child.returncode == 0, outs[mode][1]
+    assert outs["pinned"][0].splitlines()[-1] == "1 0"  # one CPU, so no worker
+    for solver in ("randomized", "exact"):
+        assert (tmp_path / f"pinned-{solver}.json").read_bytes() == \
+            (tmp_path / f"free-{solver}.json").read_bytes()
