@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     lem.set_defaults(run=_cmd_verify_lemma)
     lem.add_argument("--count", type=int, default=500, help="systems to generate")
     lem.add_argument("--n-max", type=int, default=8,
-                     help="largest universe size (default 8); a system too large "
-                          "for the enumeration budget exits 2")
+                     help="largest universe size (default 8); a system whose sweep "
+                          "reaches a size over the enumeration budget exits 2")
 
     ch = sub.add_parser("chernoff", parents=[seed, report],
                         help="empirical Bernoulli-sum deviation check")

@@ -47,13 +47,16 @@ class BudgetError(RuntimeError):
 
     ``best_vertices`` carries the best solution found before the budget ran
     out, when the operation has one, and ``best_size`` its size (else both
-    are ``None``).
+    are ``None``); the size is read from the vertices, not stored beside them.
     """
 
     def __init__(self, message: str, *, best_vertices: frozenset[int] | None = None):
         super().__init__(message)
         self.best_vertices = best_vertices
-        self.best_size = None if best_vertices is None else len(best_vertices)
+
+    @property
+    def best_size(self) -> int | None:
+        return None if self.best_vertices is None else len(self.best_vertices)
 
 
 class CsvError(ValueError):

@@ -155,13 +155,24 @@ def h_set(system: GoodnessSystem, i_set: Iterable) -> frozenset:
     return frozenset(x for x in system.universe if not system.g(x, chosen))
 
 
-def _constrained_sets(system: GoodnessSystem, size: int):
-    """Yield the B-constrained subsets of ``size`` elements, in
-    :func:`itertools.combinations` order over the universe."""
-    for combo in combinations(system.universe, size):
-        candidate = frozenset(combo)
-        if is_constrained(system, candidate):
-            yield candidate
+def _constrained_sets(system: GoodnessSystem, sizes: Iterable[int], max_subsets: int):
+    """For each size in ``sizes`` in turn, yield a generator of the
+    B-constrained subsets of that size, in :func:`itertools.combinations`
+    order over the universe.
+
+    This is the one subset budget: before it starts a size, the walk raises
+    :class:`BudgetError` if the subsets of every size started so far, this
+    one included, exceed ``max_subsets``.  A caller that stops asking for
+    sizes pays only for the sizes it reached."""
+    n, visited = system.size, 0
+    for size in sizes:
+        visited += math.comb(n, size)
+        if visited > max_subsets:
+            raise BudgetError(f"enumerating the subsets of size {size} over {n} elements "
+                              f"brings the subsets visited to {visited}, over the budget "
+                              f"of {max_subsets}")
+        yield (s for s in map(frozenset, combinations(system.universe, size))
+               if is_constrained(system, s))
 
 
 @dataclass(frozen=True)
@@ -196,19 +207,17 @@ class FractionTable:
 
 def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int):
     """Yield ``(p_i, q_i)`` for ``i = 1..up_to``, each as soon as the sets of
-    size ``i`` are enumerated; the budget covers every size up front."""
+    size ``i`` are enumerated; the budget is charged per size reached, the
+    empty set's size included."""
     n = system.size
-    if sum(math.comb(n, j) for j in range(up_to + 1)) > max_subsets:
-        raise BudgetError(
-            f"enumerating subsets of size <= {up_to} over {n} elements "
-            f"exceeds the budget of {max_subsets}")
+    fewest_good, most_rejected = n, 0
     # The empty set counts at every i: f(empty) is the universe, h(empty) need not be empty.
-    fewest_good, most_rejected = n, len(h_set(system, ()))
-    for size in range(1, up_to + 1):
-        for s in _constrained_sets(system, size):
+    for size, sets in enumerate(_constrained_sets(system, range(up_to + 1), max_subsets)):
+        for s in sets:
             fewest_good = min(fewest_good, len(system.f(s)))
             most_rejected = max(most_rejected, len(h_set(system, s)))
-        yield Fraction(fewest_good, n), Fraction(most_rejected, n)
+        if size:
+            yield Fraction(fewest_good, n), Fraction(most_rejected, n)
 
 
 def fraction_table(system: GoodnessSystem, up_to: int,
@@ -313,10 +322,8 @@ def brute_force_mutually_good(system: GoodnessSystem, L: int,
     L, max_subsets = count("L", L, 0), count("max_subsets", max_subsets, 1)
     if L > system.size:
         raise ValueError(f"L must be at most {system.size}, got {L}")
-    if math.comb(system.size, L) > max_subsets:
-        raise BudgetError(f"C({system.size}, {L}) exceeds the budget of {max_subsets}")
-    return next((s for s in _constrained_sets(system, L) if is_mutually_good(system, s)),
-                None)
+    sets, = _constrained_sets(system, [L], max_subsets)
+    return next((s for s in sets if is_mutually_good(system, s)), None)
 
 
 @dataclass(frozen=True)
@@ -369,41 +376,28 @@ def check_goodness_axioms(system: GoodnessSystem, samples: int | None = None,
     def f_mask(mask: int) -> int:
         return sum(1 << index[v] for v in system.f(subset(mask)))
 
-    # each path yields the count of pairs checked so far and the new violations
+    # each path yields a mask a with f(a), and arrays of masks b with f(b), f(a | b)
     def every_pair():
         f = np.array([f_mask(mask) for mask in range(total)], dtype=np.int64)
-        all_masks = np.arange(total, dtype=np.int64)
-        not_f = ~f
-        checked = 0
+        masks = np.arange(total, dtype=np.int64)
         for a in range(total):
-            rest = all_masks[a:]
-            checked += rest.size
-            # symmetry: (a <= f[b]) must agree with (b <= f[a])
-            a_in_fb = (a & not_f[a:]) == 0
-            b_in_fa = (rest & not_f[a]) == 0
-            bad_sym = np.nonzero(a_in_fb != b_in_fa)[0]
-            # intersection: f[a | b] == f[a] & f[b]
-            bad_int = np.nonzero(f[a | rest] != (f[a] & f[a:]))[0]
-            yield checked, [AxiomViolation(axiom, subset(a), subset(int(rest[i])))
-                            for axiom, bad in (("symmetry", bad_sym), ("intersection", bad_int))
-                            for i in bad]
+            yield a, f[a], masks[a:], f[a:], f[a | masks[a:]]
 
     def drawn_pairs():
         rng = generator(seed)
-        for checked in range(1, samples + 1):
+        for _ in range(samples):
             a = int(rng.integers(0, total))
             b = int(rng.integers(0, total))
-            fa, fb = f_mask(a), f_mask(b)
-            found = []
-            if ((a & ~fb) == 0) != ((b & ~fa) == 0):
-                found.append(AxiomViolation("symmetry", subset(a), subset(b)))
-            if f_mask(a | b) != fa & fb:
-                found.append(AxiomViolation("intersection", subset(a), subset(b)))
-            yield checked, found
+            yield a, f_mask(a), *np.array([[b], [f_mask(b)], [f_mask(a | b)]], dtype=np.int64)
 
-    violations: list[AxiomViolation] = []
-    for checked, found in every_pair() if samples is None else drawn_pairs():
-        violations += found
+    checked, violations = 0, []
+    for a, fa, b, fb, fab in every_pair() if samples is None else drawn_pairs():
+        checked += b.size
+        # symmetry: (a <= f(b)) must agree with (b <= f(a)); intersection: f(a | b) == f(a) & f(b)
+        for axiom, bad in (("symmetry", ((a & ~fb) == 0) != ((b & ~fa) == 0)),
+                           ("intersection", fab != (fa & fb))):
+            violations += [AxiomViolation(axiom, subset(a), subset(int(b[i])))
+                           for i in np.flatnonzero(bad)]
         if len(violations) > _MAX_RECORDED_VIOLATIONS:
             return AxiomReport(checked_pairs=checked,
                                violations=tuple(violations[:_MAX_RECORDED_VIOLATIONS]),

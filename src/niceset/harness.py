@@ -310,8 +310,9 @@ def run_lemma_verification(count: int, n_max: int = 8, seed: int = 0) -> LemmaRe
     """Sweep ``count`` random instance systems (random edges plus random
     symmetric conflict families, with the conflict-avoidance constraint) and
     check the existence guarantee at every cardinality where it applies.
-    Universe sizes are drawn from ``2..n_max``; the first system over the
-    enumeration budget raises :class:`BudgetError` naming its index."""
+    Universe sizes are drawn from ``2..n_max``; the first system whose sweep
+    reaches a size over the enumeration budget raises :class:`BudgetError`
+    naming its index."""
     count, n_max = errors.count("count", count, 1), errors.count("n_max", n_max, 2)
     seed = _seed(seed)
     all_violations: list[dict] = []

@@ -106,10 +106,13 @@ def test_verify_lemma_exit_zero(capsys, tmp_path):
 
 
 def test_verify_lemma_above_ten_elements_exits_zero(capsys):
-    code, out, _ = run_cli(capsys, ["verify-lemma", "--count", "20", "--n-max", "12",
-                                    "--seed", "1"])
-    assert code == 0
-    assert "0 counterexamples" in out
+    # seed 0 draws a 35-element system, too big to enumerate in full, whose
+    # sweep stops after size 3
+    for argv in (["--count", "20", "--n-max", "12", "--seed", "1"],
+                 ["--count", "1", "--n-max", "40", "--seed", "0"]):
+        code, out, _ = run_cli(capsys, ["verify-lemma", *argv])
+        assert code == 0
+        assert "0 counterexamples" in out
 
 
 def test_verify_lemma_lists_counterexamples_and_exits_zero(capsys, monkeypatch):
@@ -125,11 +128,12 @@ def test_verify_lemma_lists_counterexamples_and_exits_zero(capsys, monkeypatch):
     assert len(payload["counterexamples"]) == 3
 
 
-def test_verify_lemma_over_budget_exits_two(capsys):
+def test_verify_lemma_over_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(goodness, "SUBSET_BUDGET", 1000)  # size 3 of 35 elements is over
     code, out, err = run_cli(capsys, ["verify-lemma", "--count", "1", "--n-max", "40",
                                       "--seed", "0"])
     assert code == 2 and out == ""
-    assert err.startswith("error: system 0: enumerating subsets of size <= 34 over 35 elements")
+    assert err.startswith("error: system 0: enumerating the subsets of size 3 over 35 elements")
 
 
 def test_chernoff_subcommand(capsys, tmp_path):
@@ -468,12 +472,13 @@ def test_report_golden_digests(capsys, tmp_path, name):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
-def test_shared_parser_survives_failed_runs(capsys, tmp_path):
+def test_shared_parser_survives_failed_runs(capsys, tmp_path, monkeypatch):
     # main parses with one parser per process: a usage error and a budget
     # error must leave nothing in it that changes the next run's report
     code, _, err = run_cli(capsys, ["simulate-upper", "--m", "10", "--p", "0.5",
                                     "--solver", "bogus"])
     assert code == 1 and "usage" in err.lower()
+    monkeypatch.setattr(goodness, "SUBSET_BUDGET", 1000)
     code, _, _ = run_cli(capsys, ["verify-lemma", "--count", "1", "--n-max", "40",
                                   "--seed", "0"])
     assert code == 2

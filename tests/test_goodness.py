@@ -3,7 +3,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import nan
+from math import comb, nan
 
 import pytest
 
@@ -11,7 +11,7 @@ from niceset import (BudgetError, ConflictSpec, FractionTable, GoodnessSystem,
                      attempt_success_bound, brute_force_mutually_good,
                      check_goodness_axioms, construction_success_bound,
                      derive_seed, existence_violations, fraction_table,
-                     graph_system, h_set, instance_system,
+                     goodness, graph_system, h_set, instance_system,
                      is_constrained, is_mutually_good, is_nice,
                      randomized_construct, sample_instance,
                      system_from_singletons)
@@ -285,6 +285,48 @@ def test_brute_force_examples(path_system, k4_system):
     for bad in (2.5, nan):
         with pytest.raises(TypeError):
             brute_force_mutually_good(path_system, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
+def test_subset_budget_raises_exactly_past_the_closed_forms(n):
+    # fraction_table visits every size up to up_to, the empty set included;
+    # brute force visits the one size L
+    system = edgeless_system(n)
+    for up_to in range(1, n + 1):
+        total = sum(comb(n, j) for j in range(up_to + 1))
+        assert len(fraction_table(system, up_to, max_subsets=total).p) == up_to
+        with pytest.raises(BudgetError, match=rf"over the budget of {total - 1}$"):
+            fraction_table(system, up_to, max_subsets=total - 1)
+    for L in range(n + 1):
+        assert brute_force_mutually_good(system, L, max_subsets=comb(n, L)) is not None
+        if comb(n, L) > 1:
+            with pytest.raises(BudgetError):
+                brute_force_mutually_good(system, L, max_subsets=comb(n, L) - 1)
+
+
+@pytest.mark.parametrize("system", [edgeless_system(6), random_instance_system(7)[0]],
+                         ids=["edgeless", "instance"])
+def test_no_enumeration_visits_more_subsets_than_its_budget(monkeypatch, system):
+    # the walk decides each subset it visits by one is_constrained call
+    visited = []
+
+    def counting(owner, s):
+        visited.append(s)
+        return is_constrained(owner, s)
+
+    monkeypatch.setattr(goodness, "is_constrained", counting)
+    n = system.size
+    calls = [lambda b, i=i: fraction_table(system, i, max_subsets=b) for i in range(1, n + 1)]
+    calls += [lambda b, L=L: brute_force_mutually_good(system, L, max_subsets=b)
+              for L in range(n + 1)]
+    for call in calls:
+        for budget in range(1, 2 ** n + 1):
+            visited.clear()
+            try:
+                call(budget)
+            except BudgetError:
+                pass
+            assert len(visited) <= budget
 
 
 def table_driven_system(seed, n):

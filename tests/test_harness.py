@@ -124,6 +124,9 @@ def test_lemma_verification_above_ten_elements():
     assert report.counterexamples == ()
     assert report.conditions_fired > 0
     assert run_lemma_verification(count=30, n_max=12, seed=5) == report
+    # seed 0 draws n = 35, too big to enumerate in full; the sweep stops after size 3
+    report = run_lemma_verification(count=1, n_max=40, seed=0)
+    assert (report.conditions_fired, report.counterexamples) == (2, ())
 
 
 def test_lemma_verification_reports_each_counterexample_with_its_system(monkeypatch):
@@ -136,10 +139,13 @@ def test_lemma_verification_reports_each_counterexample_with_its_system(monkeypa
     assert [c["system_index"] for c in counterexamples] == [0, 0, 2]
 
 
-def test_lemma_verification_budget_error_names_the_system():
-    # seed 0 draws n = 35 for system 0: 2**35 - 1 subsets, over the budget
-    with pytest.raises(BudgetError, match=r"^system 0: enumerating subsets of size "
-                                          r"<= 34 over 35 elements exceeds the budget"):
+def test_lemma_verification_budget_error_names_the_system(monkeypatch):
+    # seed 0 draws n = 35: room for sizes 0..2 (631 subsets) but not for
+    # size 3, which the sweep reaches after both conditions fire
+    monkeypatch.setattr(goodness, "SUBSET_BUDGET", 1000)
+    with pytest.raises(BudgetError, match=r"^system 0: enumerating the subsets of size 3 "
+                                          r"over 35 elements brings the subsets visited to "
+                                          r"7176, over the budget of 1000$"):
         run_lemma_verification(count=1, n_max=40, seed=0)
 
 
