@@ -22,6 +22,10 @@ constraint-violating) elements over B-constrained sets of bounded size, as
 exact rationals.  When ``p[L-1] > q[L-1]`` a mutually good B-constrained set
 of cardinality ``L`` exists; :func:`randomized_construct` finds one by
 uniform sampling and :func:`brute_force_mutually_good` by exhaustive search.
+:func:`existence_violations` checks that claim without a second search: the
+walk that gives the fractions also tests each size's sets for mutual
+goodness, the same sets in the same order as brute force, which stays as
+the public exhaustive search and the tests' reference.
 """
 
 from __future__ import annotations
@@ -55,18 +59,28 @@ class GoodnessSystem:
     universe: tuple
     f: Callable[[frozenset], frozenset]
     g: Callable[[object, frozenset], bool]
+    _elements: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.universe)) != len(self.universe):
+        object.__setattr__(self, "_elements", frozenset(self.universe))
+        if len(self._elements) != len(self.universe):
             raise ValueError("universe contains duplicates")
         if not self.universe:
             raise ValueError("universe must be non-empty")
-        if self.f(frozenset()) != frozenset(self.universe):
+        if self.f(frozenset()) != self._elements:
             raise ValueError("f(empty set) must equal the whole universe")
 
     @property
     def size(self) -> int:
         return len(self.universe)
+
+    def _subset(self, s: Iterable) -> frozenset:
+        """``s`` as a frozenset; ``ValueError`` names any element outside the universe."""
+        members = frozenset(s)
+        if not members <= self._elements:
+            outside = sorted(map(repr, members - self._elements))
+            raise ValueError(f"not in the universe: {', '.join(outside)}")
+        return members
 
 
 def system_from_singletons(universe: Iterable, singleton_good: Mapping,
@@ -138,20 +152,20 @@ def instance_system(inst: Instance) -> GoodnessSystem:
 
 def is_mutually_good(system: GoodnessSystem, s: Iterable) -> bool:
     """Pairwise test: every element of ``s`` is good for every other one."""
-    members = list(frozenset(s))
+    members = list(system._subset(s))
     singles = {y: system.f(frozenset([y])) for y in members}
     return all(x in singles[y] for x in members for y in members if x != y)
 
 
 def is_constrained(system: GoodnessSystem, s: Iterable) -> bool:
     """True iff ``g(y, s - {y})`` holds for every ``y in s``."""
-    members = frozenset(s)
+    members = system._subset(s)
     return all(system.g(y, members - {y}) for y in members)
 
 
 def h_set(system: GoodnessSystem, i_set: Iterable) -> frozenset:
     """Elements whose constraint value with respect to ``i_set`` lies outside ``B``."""
-    chosen = frozenset(i_set)
+    chosen = system._subset(i_set)
     return frozenset(x for x in system.universe if not system.g(x, chosen))
 
 
@@ -206,18 +220,20 @@ class FractionTable:
 
 
 def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int):
-    """Yield ``(p_i, q_i)`` for ``i = 1..up_to``, each as soon as the sets of
-    size ``i`` are enumerated; the budget is charged per size reached, the
-    empty set's size included."""
+    """Yield ``(p_i, q_i, found_i)`` for ``i = 1..up_to`` as size ``i`` is enumerated,
+    ``found_i`` iff one of its sets is mutually good (tested in walk order up to the
+    first hit); the budget is charged per size reached, the empty set's included."""
     n = system.size
     fewest_good, most_rejected = n, 0
     # The empty set counts at every i: f(empty) is the universe, h(empty) need not be empty.
     for size, sets in enumerate(_constrained_sets(system, range(up_to + 1), max_subsets)):
+        found = False
         for s in sets:
             fewest_good = min(fewest_good, len(system.f(s)))
             most_rejected = max(most_rejected, len(h_set(system, s)))
+            found = found or is_mutually_good(system, s)
         if size:
-            yield Fraction(fewest_good, n), Fraction(most_rejected, n)
+            yield Fraction(fewest_good, n), Fraction(most_rejected, n), found
 
 
 def fraction_table(system: GoodnessSystem, up_to: int,
@@ -231,25 +247,29 @@ def fraction_table(system: GoodnessSystem, up_to: int,
     up_to, max_subsets = count("up_to", up_to, 1), count("max_subsets", max_subsets, 1)
     if up_to > system.size:
         raise ValueError(f"up_to must be at most {system.size}, got {up_to}")
-    p, q = zip(*_fractions(system, up_to, max_subsets))
+    p, q, _ = zip(*_fractions(system, up_to, max_subsets))
     return FractionTable(p=p, q=q)
 
 
 def existence_violations(system: GoodnessSystem) -> tuple[list[dict], int]:
     """For every ``L`` with exact ``p[L-1] > q[L-1]``, require a mutually good
-    constrained set of cardinality ``L`` by brute force.
+    constrained set of cardinality ``L``, read off the fractions' own walk of size
+    ``L``: each size is enumerated once, under ``SUBSET_BUDGET`` read at call time.
 
     Returns the violations (each a dict with the failing ``L`` and the
     fractions) and the number of cardinalities at which the condition fired.
     """
-    fired = 0
-    violations: list[dict] = []
-    for L, (p, q) in enumerate(_fractions(system, system.size - 1, SUBSET_BUDGET), start=2):
+    fired, violations = 0, []
+    walk = _fractions(system, system.size, SUBSET_BUDGET)
+    p, q, _ = next(walk)
+    for L in range(2, system.size + 1):
         if p <= q:  # p never increases and q never decreases, so no larger L fires
             break
         fired += 1
-        if brute_force_mutually_good(system, L) is None:
-            violations.append({"L": L, "p": str(p), "q": str(q), "N": system.size})
+        violation = {"L": L, "p": str(p), "q": str(q), "N": system.size}
+        p, q, found = next(walk)  # the walk of size L starts only once L has fired
+        if not found:
+            violations.append(violation)
     return violations, fired
 
 

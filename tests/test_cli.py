@@ -116,7 +116,7 @@ def test_verify_lemma_above_ten_elements_exits_zero(capsys):
 
 
 def test_verify_lemma_lists_counterexamples_and_exits_zero(capsys, monkeypatch):
-    monkeypatch.setattr(goodness, "brute_force_mutually_good", lambda *args, **kwargs: None)
+    monkeypatch.setattr(goodness, "is_mutually_good", lambda *args, **kwargs: False)
     code, out, _ = run_cli(capsys, ["verify-lemma", "--count", "3", "--n-max", "6",
                                     "--seed", "3"])
     # the report lists what was found; the exit code does not judge it

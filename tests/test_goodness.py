@@ -431,6 +431,31 @@ def test_existence_sweep_matches_the_full_table():
     assert empty_h > 10 and fired > 0
 
 
+def test_existence_sweep_enumerates_each_size_once(monkeypatch):
+    # the sweep walks sizes 0 and 1, then size L for every L that fired
+    # (2..fired+1), and reads existence off that walk, not off brute force
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep called brute force")
+
+    visited = []
+
+    def counting(system, s):
+        visited.append(s)
+        return is_constrained(system, s)
+
+    monkeypatch.setattr(goodness, "brute_force_mutually_good", refused)
+    monkeypatch.setattr(goodness, "is_constrained", counting)
+    fired_total = 0
+    for seed in range(60):
+        system, _ = random_instance_system(derive_seed(808, seed), n_max=9)
+        visited.clear()
+        _, fired = existence_violations(system)
+        assert len(visited) == sum(comb(system.size, s) for s in range(fired + 2)), seed
+        assert len(set(visited)) == len(visited), seed
+        fired_total += fired
+    assert fired_total > 0
+
+
 def test_existence_sweep_stops_at_the_first_crossing():
     # star K_{1,4}: f({1}) = {1} gives p_1 = 1/5, h({1}) = {2, 3, 4, 5} gives
     # q_1 = 4/5, so no L fires and no set of two or more leaves is enumerated

@@ -11,8 +11,8 @@ import pytest
 
 from niceset import (BudgetError, ConflictSpec, ExperimentConfig, Instance,
                      binomial_deviation_tail, existence_violations, goodness,
-                     instance_system, run_bound_experiment, run_chernoff_check,
-                     run_lemma_verification, solvers)
+                     instance_system, is_constrained, run_bound_experiment,
+                     run_chernoff_check, run_lemma_verification, solvers)
 from niceset.rng import derive_seed, generator
 
 
@@ -130,13 +130,31 @@ def test_lemma_verification_above_ten_elements():
 
 
 def test_lemma_verification_reports_each_counterexample_with_its_system(monkeypatch):
-    # no search finds a set, so every condition that fires is a counterexample
-    monkeypatch.setattr(goodness, "brute_force_mutually_good", lambda *args, **kwargs: None)
+    # no set is mutually good, so every condition that fires is a counterexample
+    monkeypatch.setattr(goodness, "is_mutually_good", lambda *args, **kwargs: False)
     report = run_lemma_verification(count=3, n_max=6, seed=3)
     counterexamples = report.to_dict()["counterexamples"]
     assert report.conditions_fired == len(counterexamples) == 3
     assert counterexamples[0] == {"L": 2, "N": 3, "p": "1", "q": "1/3", "system_index": 0}
     assert [c["system_index"] for c in counterexamples] == [0, 0, 2]
+
+
+def test_lemma_verification_visits_no_more_subsets_than_the_budget(monkeypatch):
+    # with no set mutually good, existence needs every set of each fired size;
+    # the sweep reads it off the walk that gives the fractions, so sizes 0..2
+    # (631 subsets) are visited once each and size 3 is refused before it starts
+    visited = []
+
+    def counting(system, s):
+        visited.append(s)
+        return is_constrained(system, s)
+
+    monkeypatch.setattr(goodness, "SUBSET_BUDGET", 1000)
+    monkeypatch.setattr(goodness, "is_mutually_good", lambda *args, **kwargs: False)
+    monkeypatch.setattr(goodness, "is_constrained", counting)
+    with pytest.raises(BudgetError, match=r"^system 0: enumerating the subsets of size 3 "):
+        run_lemma_verification(count=1, n_max=40, seed=0)
+    assert len(visited) == 631 <= 1000
 
 
 def test_lemma_verification_budget_error_names_the_system(monkeypatch):

@@ -4,7 +4,8 @@ A count that is not an integer (``2.5``, NaN, ``"3"``) raises ``TypeError``
 and one below its minimum ``ValueError``; a real parameter that is not a real
 number (``"0.5"``, ``None``) raises ``TypeError``; a probability outside its
 interval, NaN included, raises ``ValueError``.  Each message names the
-parameter.
+parameter.  An element outside a goodness system's universe raises
+``ValueError`` naming the element.
 """
 
 import math
@@ -17,7 +18,8 @@ from niceset import (BoundParams, ConflictSpec, ExperimentConfig, FeatureMatrix,
                      attempt_success_bound, binomial_deviation_tail,
                      brute_force_mutually_good, build_instance, check_goodness_axioms,
                      chernoff_bound, collinearity_graph, conflict_sets,
-                     construction_success_bound, fraction_table, instance_system,
+                     construction_success_bound, fraction_table, graph_system, h_set,
+                     instance_system, is_constrained, is_mutually_good,
                      max_nice_exact, pearson_matrix, randomized_construct,
                      randomized_nice, run_chernoff_check, run_lemma_verification,
                      sample_instance, select_features, vif)
@@ -125,3 +127,12 @@ def test_bad_value_raises_naming_the_parameter(name, call, bad, error):
     with pytest.raises(error) as info:
         call(bad)
     assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("call", [is_mutually_good, is_constrained, h_set])
+@pytest.mark.parametrize("elements, named", [({1, 99}, "99"), ({99}, "99"),
+                                             ([99, 1, 99], "99"), ({0, 1, 99}, "0, 99")])
+def test_elements_outside_the_universe_raise_naming_the_element(call, elements, named):
+    path = graph_system({1: {2}, 2: {1, 3}, 3: {2}})
+    with pytest.raises(ValueError, match=rf"^not in the universe: {named}$"):
+        call(path, elements)
