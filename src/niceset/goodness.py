@@ -219,10 +219,11 @@ class FractionTable:
         return self.q[count("i", i, 1) - 1]
 
 
-def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int):
-    """Yield ``(p_i, q_i, found_i)`` for ``i = 1..up_to`` as size ``i`` is enumerated,
-    ``found_i`` iff one of its sets is mutually good (tested in walk order up to the
-    first hit); the budget is charged per size reached, the empty set's included."""
+def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int, probe: bool = False):
+    """Yield ``(p_i, q_i, found_i)`` for ``i = 1..up_to`` as size ``i`` is enumerated;
+    with ``probe``, ``found_i`` iff one of its sets is mutually good (tested in walk
+    order up to the first hit), else nothing is tested and it is ``False``.  The
+    budget is charged per size reached, the empty set's included."""
     n = system.size
     fewest_good, most_rejected = n, 0
     # The empty set counts at every i: f(empty) is the universe, h(empty) need not be empty.
@@ -231,7 +232,7 @@ def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int):
         for s in sets:
             fewest_good = min(fewest_good, len(system.f(s)))
             most_rejected = max(most_rejected, len(h_set(system, s)))
-            found = found or is_mutually_good(system, s)
+            found = found or (probe and is_mutually_good(system, s))
         if size:
             yield Fraction(fewest_good, n), Fraction(most_rejected, n), found
 
@@ -260,7 +261,7 @@ def existence_violations(system: GoodnessSystem) -> tuple[list[dict], int]:
     fractions) and the number of cardinalities at which the condition fired.
     """
     fired, violations = 0, []
-    walk = _fractions(system, system.size, SUBSET_BUDGET)
+    walk = _fractions(system, system.size, SUBSET_BUDGET, probe=True)
     p, q, _ = next(walk)
     for L in range(2, system.size + 1):
         if p <= q:  # p never increases and q never decreases, so no larger L fires

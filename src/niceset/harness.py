@@ -4,14 +4,15 @@ Every experiment takes a master seed; trial ``t`` runs on
 ``derive_seed(master, t)``, so results are independent of trial count and
 order, and reports are byte-identical across runs with the same seed.  That
 is also what lets a bound experiment run its trials on every CPU the process
-may use: forked workers run contiguous trial ranges, and the results are
-joined in trial order.  Statistical margins are three binomial standard
-errors throughout.
+may use: the caller and forked workers run contiguous trial ranges, each on
+its own CPU, and the results are joined in trial order.  Statistical
+margins are three binomial standard errors throughout.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import math
 import os
 import pickle
@@ -102,6 +103,25 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _on_cpu(cpu: int | None):
+    """Run the block with the calling thread on ``cpu`` alone, then give it
+    back its affinity mask; with ``cpu`` ``None``, or if the move fails,
+    the block runs where the thread is."""
+    mask = None
+    if cpu is not None:
+        try:
+            mask = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            mask = None
+    try:
+        yield
+    finally:
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
+
+
 def _ranges(trials: int, parts: int) -> list[range]:
     """``range(trials)`` cut into ``parts`` contiguous ranges, the longer ones first."""
     size, extra = divmod(trials, parts)
@@ -149,23 +169,24 @@ class _Worker:
     def _serve(parent: int, inbox, outbox) -> None:
         while True:
             try:
-                cfg, trials = pickle.load(inbox)
+                cfg, trials, cpu = pickle.load(inbox)
             except EOFError:
                 return
             rows = []
             try:
-                for t in trials:
-                    if os.getppid() != parent:
-                        return
-                    rows.append(_trial(cfg, t))
+                with _on_cpu(cpu):
+                    for t in trials:
+                        if os.getppid() != parent:
+                            return
+                        rows.append(_trial(cfg, t))
                 reply = pickle.dumps((None, rows))
             except Exception as exc:  # raised again in the caller
                 reply = pickle.dumps((exc, None))
             outbox.write(reply)
             outbox.flush()
 
-    def start(self, cfg: ExperimentConfig, trials: range) -> None:
-        pickle.dump((cfg, trials), self._requests)
+    def start(self, cfg: ExperimentConfig, trials: range, cpu: int | None) -> None:
+        pickle.dump((cfg, trials, cpu), self._requests)
         self._requests.flush()
 
     def result(self) -> list[tuple[int, int, int]]:
@@ -226,11 +247,17 @@ def _run_trials(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
 
     The trials are cut into one contiguous range per CPU (at most one per
     trial).  This process runs the first range while workers run the rest;
-    the workers are forked on first need and kept for later runs.  On any
-    error the workers are stopped, so the next run starts with fresh ones,
-    and the error of the lowest range is raised.  With one range, without
-    ``os.fork``, or while another thread drives the workers, the trials run
-    here; if a fork fails, the workers there are share them."""
+    the workers are forked on first need and kept for later runs.  Range
+    ``i`` runs on the ``i % n``-th of the ``n`` CPUs the process may use:
+    the calling thread, and the worker for each request, moves to that CPU
+    alone for the range and then restores its affinity mask.  A kernel that
+    does not balance load between CPUs would otherwise leave every forked
+    worker on its parent's CPU.  Without ``os.sched_setaffinity``, or if a
+    move fails, the range runs where it is.  On any error the workers are
+    stopped, so the next run starts with fresh ones, and the error of the
+    lowest range is raised.  With one range, without ``os.fork``, or while
+    another thread drives the workers, the trials run here, unmoved; if a
+    fork fails, the trials are shared among the workers there are."""
     ranges = _ranges(cfg.trials, min(cfg.trials, _cpus()))
     if len(ranges) == 1 or not hasattr(os, "fork") or not _workers_lock.acquire(False):
         return [_trial(cfg, t) for t in range(cfg.trials)]
@@ -244,9 +271,12 @@ def _run_trials(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
         except OSError:  # no process to spare: share the trials among those there are
             ranges = _ranges(cfg.trials, len(_workers) + 1)
         workers = _workers[:len(ranges) - 1]
-        for worker, trials in zip(workers, ranges[1:]):
-            worker.start(cfg, trials)
-        rows = [_trial(cfg, t) for t in ranges[0]]
+        # None: this platform cannot move a process
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
+        for i, (worker, trials) in enumerate(zip(workers, ranges[1:]), 1):
+            worker.start(cfg, trials, cpus[i % len(cpus)])
+        with _on_cpu(cpus[0]):
+            rows = [_trial(cfg, t) for t in ranges[0]]
         for worker in workers:
             rows += worker.result()
         return rows

@@ -456,6 +456,23 @@ def test_existence_sweep_enumerates_each_size_once(monkeypatch):
     assert fired_total > 0
 
 
+def test_fraction_table_tests_no_set_for_mutual_goodness(monkeypatch):
+    # only the existence sweep reads the walk's found flag
+    system = instance_system(sample_instance(14, 0.5, seed=1))
+    expected = fraction_table(system, 14)
+    calls = []
+
+    def counting(system, s):
+        calls.append(s)
+        return is_mutually_good(system, s)
+
+    monkeypatch.setattr(goodness, "is_mutually_good", counting)
+    assert fraction_table(system, 14) == expected
+    assert calls == []
+    existence_violations(system)
+    assert calls  # the patch is seen: the sweep's probes are counted
+
+
 def test_existence_sweep_stops_at_the_first_crossing():
     # star K_{1,4}: f({1}) = {1} gives p_1 = 1/5, h({1}) = {2, 3, 4, 5} gives
     # q_1 = 4/5, so no L fires and no set of two or more leaves is enumerated

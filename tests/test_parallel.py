@@ -18,6 +18,14 @@ from niceset.rng import derive_seed
 from .conftest import child_env
 
 
+@pytest.fixture(autouse=True)
+def _affinity_mask_kept():
+    """No run leaves the test process on fewer CPUs than it started on."""
+    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    yield
+    assert before is None or os.sched_getaffinity(0) == before
+
+
 def trial_by_trial(cfg, monkeypatch):
     """Oracle: the report built from the trials run one after another here."""
     rows = []
@@ -156,6 +164,125 @@ def test_a_failed_fork_leaves_the_trials_to_the_workers_there_are(monkeypatch):
     monkeypatch.setattr(os, "fork", fork_once)
     assert run_bound_experiment(cfg) == expected
     assert [w.pid for w in harness._workers] == forks and len(forks) == 1
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="needs os.sched_setaffinity")
+
+
+def placements(monkeypatch):
+    """Record each request as it is sent to a worker, as ``(trials, cpu)``,
+    and the calling process's affinity mask in each of its own trials."""
+    requests, here = [], []
+    start, solve, caller = harness._Worker.start, harness.solve, os.getpid()
+
+    def recording_start(worker, cfg, trials, cpu):
+        requests.append((trials, cpu))
+        start(worker, cfg, trials, cpu)
+
+    def recording_solve(inst, method, seed):
+        if os.getpid() == caller:
+            here.append(os.sched_getaffinity(0))
+        return solve(inst, method, seed=seed)
+
+    monkeypatch.setattr(harness._Worker, "start", recording_start)
+    monkeypatch.setattr(harness, "solve", recording_solve)
+    return requests, here
+
+
+@needs_affinity
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_each_range_is_sent_the_next_allowed_cpu_in_turn(monkeypatch, cpus):
+    cfg = ExperimentConfig(m=20, p=0.3, trials=7, seed=6, solver="randomized")
+    expected = trial_by_trial(cfg, monkeypatch)
+    allowed = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    requests, here = placements(monkeypatch)
+    assert run_bound_experiment(cfg) == expected
+    ranges = harness._ranges(cfg.trials, cpus)
+    sent = [allowed[0]] + [cpu for _, cpu in requests]
+    assert requests == [(r, allowed[i % len(allowed)]) for i, r in enumerate(ranges) if i]
+    assert len(set(sent[:len(allowed)])) == min(cpus, len(allowed))  # distinct, then in turn
+    assert here == [{allowed[0]}] * len(ranges[0])
+    assert os.sched_getaffinity(0) == set(allowed)
+    for worker in harness._workers:  # idle again, with the mask it was forked with
+        assert os.sched_getaffinity(worker.pid) == set(allowed)
+
+
+@needs_affinity
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_worker_runs_its_range_on_the_cpu_it_was_sent(monkeypatch, cpus):
+    cfg = ExperimentConfig(m=20, p=0.3, trials=6, seed=1, solver="greedy")
+    allowed = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    last = harness._ranges(cfg.trials, cpus)[-1][-1]  # in the last worker's range
+    real, failing = harness.solve, derive_seed(cfg.seed, last)
+
+    def solve_or_name_the_mask(inst, method, seed):
+        if seed == failing:
+            raise BudgetError(f"on {sorted(os.sched_getaffinity(0))}")
+        return real(inst, method, seed=seed)
+
+    monkeypatch.setattr(harness, "solve", solve_or_name_the_mask)
+    with pytest.raises(BudgetError) as info:
+        run_bound_experiment(cfg)
+    assert str(info.value) == f"trial {last}: on {[allowed[(cpus - 1) % len(allowed)]]}"
+
+
+@needs_affinity
+@pytest.mark.parametrize("outcome, trial, error", [
+    ("budget error", 2, BudgetError),       # in this process's range 0..3
+    ("budget error", 5, BudgetError),       # in the worker's range 4..6
+    ("exit", 5, ChildProcessError),         # the worker dies mid-run
+])
+def test_the_callers_affinity_mask_is_the_same_after_a_failed_run(monkeypatch, outcome,
+                                                                   trial, error):
+    cfg = ExperimentConfig(m=20, p=0.3, trials=7, seed=1, solver="greedy")
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    before, real, failing = os.sched_getaffinity(0), harness.solve, derive_seed(cfg.seed, trial)
+
+    def solve_or_fail(inst, method, seed):
+        if seed == failing:
+            if outcome == "exit":
+                os._exit(1)
+            raise BudgetError("over")
+        return real(inst, method, seed=seed)
+
+    monkeypatch.setattr(harness, "solve", solve_or_fail)
+    with pytest.raises(error):
+        run_bound_experiment(cfg)
+    assert os.sched_getaffinity(0) == before
+
+
+@needs_affinity
+def test_without_sched_setaffinity_no_range_is_placed(monkeypatch):
+    cfg = ExperimentConfig(m=30, p=0.2, conflicts=ConflictSpec.uniform(1), trials=7, seed=5,
+                           solver="randomized")
+    expected = trial_by_trial(cfg, monkeypatch)
+    before = os.sched_getaffinity(0)
+    monkeypatch.setattr(harness, "_cpus", lambda: 3)
+    monkeypatch.delattr(os, "sched_setaffinity")  # the workers are forked without it too
+    requests, here = placements(monkeypatch)
+    report = run_bound_experiment(cfg)
+    assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+    assert [cpu for _, cpu in requests] == [None, None]
+    assert here == [before] * 3 and os.sched_getaffinity(0) == before
+
+
+@needs_affinity
+def test_a_refused_move_runs_the_range_where_it_is(monkeypatch):
+    cfg = ExperimentConfig(m=30, p=0.2, trials=7, seed=5, solver="exact")
+    expected = trial_by_trial(cfg, monkeypatch)
+    before = os.sched_getaffinity(0)
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)  # in the workers too
+    _, here = placements(monkeypatch)
+    assert run_bound_experiment(cfg) == expected
+    assert here == [before] * 4 and os.sched_getaffinity(0) == before
 
 
 def running(pid: int) -> bool:
