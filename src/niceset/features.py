@@ -20,6 +20,7 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
+from . import harness
 from .errors import CsvError, count, real
 from .instance import Edge, Instance
 from .solvers import solve
@@ -88,12 +89,14 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
     The file is read and decoded once, before any parsing, so pipes and
     FIFOs work.  One ``csv`` reader over its lines reads the header and
     numpy's C reader the lines after it, converting each cell with the
-    routine Python's ``float`` uses on ASCII text.  A body numpy rejects or
-    might read otherwise (quotes, ``1_000``, non-ASCII digits, a line over
-    the ``csv`` field size limit, a ragged or short body, a non-finite
-    value) is read on by the same ``csv`` reader with every cell parsed by
-    ``float``.  That reader alone reports errors, naming the first bad
-    record and cell in file order.
+    routine Python's ``float`` uses on ASCII text.  A body of 128 KiB or
+    more is parsed in one contiguous part per CPU, all at once, on the
+    worker pool bound experiments use (see :func:`_numpy_body`); the array
+    is the same.  A body numpy rejects or might read otherwise (quotes,
+    ``1_000``, non-ASCII digits, a line over the ``csv`` field size limit,
+    a ragged or short body, a non-finite value) is read on by the same
+    ``csv`` reader with every cell parsed by ``float``.  That reader alone
+    reports errors, naming the first bad record and cell in file order.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
@@ -119,25 +122,52 @@ def load_csv(path, delimiter: str = ",", has_header: bool = True) -> FeatureMatr
 
 
 _BLANK_LINES = ("\n", "\r\n", "\r")  # lines the csv module reads as empty records
+# characters of body text each part of a parse on several CPUs holds at
+# least, so a body is split from 128 KiB on.  On a 2-CPU VM the split broke
+# even anywhere from 16 to 115 KiB, with the host's load, and paid from
+# 128 KiB on in every phase measured (230 KiB: 5.3 -> 3.9 ms)
+_PART_CHARS = 64 * 1024
 
 
 def _numpy_body(lines: list[str], delimiter: str,
                 names: tuple[str, ...] | None) -> np.ndarray | None:
     """The body ``lines`` read by numpy's C reader, or ``None`` when the
-    ``csv`` reader must decide."""
+    ``csv`` reader must decide.
+
+    A body of two ``_PART_CHARS`` or more is cut into one contiguous run
+    of lines per CPU, but into no more runs than it holds ``_PART_CHARS``
+    or lines.  The runs are parsed at once, each on its own CPU, through
+    ``harness``'s worker pool, and joined in order; numpy reads each line
+    alone, so the parts give the whole body's rows.  If any part is
+    rejected, or the parts differ in width, the ``csv`` reader takes the
+    whole body.  The parts travel as lists of lines, never as joined text:
+    ``str.splitlines`` would also split on the ``\\x85``, ``\\f`` and
+    ``\\u2028`` a cell may hold."""
     if delimiter in "\r\n":
         return None  # numpy cannot split a line on a line end
     lines = [line for line in lines if line not in _BLANK_LINES]
     # three lines at least also keep numpy from warning about an empty body
     if len(lines) < 3 or max(map(len, lines)) > csv.field_size_limit():
         return None
-    try:
-        data = np.loadtxt(lines, delimiter=delimiter, comments=None, dtype=float, ndmin=2)
-    except ValueError:
+    most = min(len(lines), max(1, sum(map(len, lines)) // _PART_CHARS))
+    parts = harness._fan_out(
+        _parse_lines,
+        lambda n: [(lines[r.start:r.stop], delimiter) for r in harness._ranges(len(lines), n)],
+        most)
+    if any(part is None for part in parts) or len({part.shape[1] for part in parts}) != 1:
         return None
+    data = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if (names is not None and len(names) != data.shape[1]) or not np.isfinite(data).all():
         return None
     return data
+
+
+def _parse_lines(lines: list[str], delimiter: str) -> np.ndarray | None:
+    """``lines`` read by numpy's C reader, or ``None`` if it rejects them."""
+    try:
+        return np.loadtxt(lines, delimiter=delimiter, comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _csv_body(path, records, names: tuple[str, ...] | None) -> np.ndarray:

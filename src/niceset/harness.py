@@ -5,8 +5,10 @@ Every experiment takes a master seed; trial ``t`` runs on
 order, and reports are byte-identical across runs with the same seed.  That
 is also what lets a bound experiment run its trials on every CPU the process
 may use: the caller and forked workers run contiguous trial ranges, each on
-its own CPU, and the results are joined in trial order.  Statistical
-margins are three binomial standard errors throughout.
+its own CPU, and the results are joined in trial order.  The same worker
+pool (:func:`_fan_out`) runs any call cut into parts; ``load_csv`` parses a
+large body on it too.  Statistical margins are three binomial standard
+errors throughout.
 """
 
 from __future__ import annotations
@@ -96,6 +98,17 @@ def _trial(cfg: ExperimentConfig, t: int) -> tuple[int, int, int]:
     return trial, size, max(len(ts) for ts in inst.conflicts.values())
 
 
+def _trials(cfg: ExperimentConfig, trials: range, caller: int) -> list[tuple[int, int, int]]:
+    """:func:`_trial` for each of ``trials``, in order, for process
+    ``caller``; a worker whose caller is gone exits before the next trial."""
+    rows = []
+    for t in trials:
+        if os.getpid() != caller and os.getppid() != caller:
+            os._exit(0)
+        rows.append(_trial(cfg, t))
+    return rows
+
+
 def _cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -122,15 +135,17 @@ def _on_cpu(cpu: int | None):
             os.sched_setaffinity(0, mask)
 
 
-def _ranges(trials: int, parts: int) -> list[range]:
-    """``range(trials)`` cut into ``parts`` contiguous ranges, the longer ones first."""
-    size, extra = divmod(trials, parts)
+def _ranges(total: int, parts: int) -> list[range]:
+    """``range(total)`` cut into ``parts`` contiguous ranges, the longer ones first."""
+    size, extra = divmod(total, parts)
     starts = [i * size + min(i, extra) for i in range(parts + 1)]
     return [range(a, b) for a, b in zip(starts, starts[1:])]
 
 
 class _Worker:
-    """A forked copy of this process that runs trial ranges sent over a pipe.
+    """A forked copy of this process that runs calls sent over a pipe: each
+    request is a module-level function, its arguments and the CPU to run
+    it on, and each reply its result or the exception it raised.
 
     It ignores SIGINT (a terminal's Ctrl-C reaches the whole process group;
     the parent handles it), and exits on end of file or, checked between
@@ -142,7 +157,6 @@ class _Worker:
     def __init__(self):
         inbox, requests = os.pipe()  # requests from this process to the worker
         replies, outbox = os.pipe()  # and the worker's replies
-        parent = os.getpid()
         try:
             self.pid = os.fork()
         except OSError:
@@ -157,7 +171,7 @@ class _Worker:
                 os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 with os.fdopen(inbox, "rb") as reader, os.fdopen(outbox, "wb") as writer:
-                    self._serve(parent, reader, writer)
+                    self._serve(reader, writer)
             finally:
                 os._exit(0)
         os.close(inbox)
@@ -166,37 +180,38 @@ class _Worker:
         self._replies = os.fdopen(replies, "rb")
 
     @staticmethod
-    def _serve(parent: int, inbox, outbox) -> None:
+    def _serve(inbox, outbox) -> None:
         while True:
             try:
-                cfg, trials, cpu = pickle.load(inbox)
+                function, args, cpu = pickle.load(inbox)
             except EOFError:
                 return
-            rows = []
             try:
                 with _on_cpu(cpu):
-                    for t in trials:
-                        if os.getppid() != parent:
-                            return
-                        rows.append(_trial(cfg, t))
-                reply = pickle.dumps((None, rows))
+                    reply = pickle.dumps((None, function(*args)))
             except Exception as exc:  # raised again in the caller
                 reply = pickle.dumps((exc, None))
             outbox.write(reply)
             outbox.flush()
 
-    def start(self, cfg: ExperimentConfig, trials: range, cpu: int | None) -> None:
-        pickle.dump((cfg, trials, cpu), self._requests)
-        self._requests.flush()
-
-    def result(self) -> list[tuple[int, int, int]]:
+    def start(self, function, args: tuple, cpu: int | None) -> None:
         try:
-            error, rows = pickle.load(self._replies)
+            pickle.dump((function, args, cpu), self._requests)
+            self._requests.flush()
+        except BrokenPipeError:  # it died since the sweep; not the caller's stdout
+            raise self._exited() from None
+
+    def result(self):
+        try:
+            error, value = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(f"trial worker {self.pid} exited mid-run") from None
+            raise self._exited() from None
         if error is not None:
             raise error
-        return rows
+        return value
+
+    def _exited(self) -> ChildProcessError:
+        return ChildProcessError(f"worker {self.pid} exited mid-run")
 
     def alive(self) -> bool:
         try:
@@ -206,7 +221,8 @@ class _Worker:
 
     def forget(self) -> None:
         """Close this process's ends of the pipes; an idle worker then exits."""
-        self._requests.close()
+        with contextlib.suppress(BrokenPipeError):  # a request a dead worker never read
+            self._requests.close()  # closes the pipe all the same
         self._replies.close()
 
     def stop(self) -> None:
@@ -242,49 +258,59 @@ if hasattr(os, "fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _run_trials(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
-    """:func:`_trial` for every trial, in trial order.
+def _fan_out(function, cut, most: int) -> list:
+    """``[function(*args) for args in cut(n)]``, the ``n`` parts run at once.
 
-    The trials are cut into one contiguous range per CPU (at most one per
-    trial).  This process runs the first range while workers run the rest;
-    the workers are forked on first need and kept for later runs.  Range
-    ``i`` runs on the ``i % n``-th of the ``n`` CPUs the process may use:
-    the calling thread, and the worker for each request, moves to that CPU
-    alone for the range and then restores its affinity mask.  A kernel that
-    does not balance load between CPUs would otherwise leave every forked
-    worker on its parent's CPU.  Without ``os.sched_setaffinity``, or if a
-    move fails, the range runs where it is.  On any error the workers are
-    stopped, so the next run starts with fresh ones, and the error of the
-    lowest range is raised.  With one range, without ``os.fork``, or while
-    another thread drives the workers, the trials run here, unmoved; if a
-    fork fails, the trials are shared among the workers there are."""
-    ranges = _ranges(cfg.trials, min(cfg.trials, _cpus()))
-    if len(ranges) == 1 or not hasattr(os, "fork") or not _workers_lock.acquire(False):
-        return [_trial(cfg, t) for t in range(cfg.trials)]
+    ``cut(n)`` gives the arguments of ``n`` contiguous parts of the work, and
+    ``n`` is the number of CPUs the process may use, at most ``most``.  This
+    process runs part 0 while workers run the rest; the workers are forked
+    on first need and kept for later calls.  Part ``i`` runs on the
+    ``i % n``-th of the ``n`` CPUs the process may use: the calling thread,
+    and the worker for each request, moves to that CPU alone for the part
+    and then restores its affinity mask.  A kernel that does not balance
+    load between CPUs would otherwise leave every forked worker on its
+    parent's CPU.  Without ``os.sched_setaffinity``, or if a move fails, the
+    part runs where it is.  On any error the workers are stopped, so the
+    next call starts with fresh ones, and the error of the lowest part is
+    raised.  With one part, without ``os.fork``, or while another thread
+    drives the workers, ``cut(1)`` runs here, unmoved; if a fork fails, the
+    work is cut among the workers there are."""
+    parts = min(most, _cpus())
+    if parts == 1 or not hasattr(os, "fork") or not _workers_lock.acquire(False):
+        return [function(*args) for args in cut(1)]
     try:
         for dead in [w for w in _workers if not w.alive()]:
             _workers.remove(dead)
             dead.forget()  # already reaped: its pid may be reused, so no signal
         try:
-            while len(_workers) < len(ranges) - 1:
+            while len(_workers) < parts - 1:
                 _workers.append(_Worker())
-        except OSError:  # no process to spare: share the trials among those there are
-            ranges = _ranges(cfg.trials, len(_workers) + 1)
-        workers = _workers[:len(ranges) - 1]
+        except OSError:  # no process to spare: cut the work among those there are
+            parts = len(_workers) + 1
+        work = cut(parts)
+        workers = _workers[:parts - 1]
         # None: this platform cannot move a process
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
-        for i, (worker, trials) in enumerate(zip(workers, ranges[1:]), 1):
-            worker.start(cfg, trials, cpus[i % len(cpus)])
+        for i, (worker, args) in enumerate(zip(workers, work[1:]), 1):
+            worker.start(function, args, cpus[i % len(cpus)])
         with _on_cpu(cpus[0]):
-            rows = [_trial(cfg, t) for t in ranges[0]]
-        for worker in workers:
-            rows += worker.result()
-        return rows
+            results = [function(*work[0])]
+        return results + [worker.result() for worker in workers]
     except BaseException:
         _stop_workers()
         raise
     finally:
         _workers_lock.release()
+
+
+def _run_trials(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """:func:`_trial` for every trial, in trial order, cut into one
+    contiguous range per CPU (at most one per trial) by :func:`_fan_out`.
+    A worker whose parent is gone stops between trials."""
+    caller = os.getpid()
+    ranges = _fan_out(_trials, lambda n: [(cfg, r, caller) for r in _ranges(cfg.trials, n)],
+                      cfg.trials)
+    return [row for rows in ranges for row in rows]
 
 
 def run_bound_experiment(cfg: ExperimentConfig) -> BoundReport:

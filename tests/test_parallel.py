@@ -1,5 +1,7 @@
-"""Bound experiments on several CPUs: the same report as one trial after
-another, budget errors across the pipe, and the workers' lifetime."""
+"""Work on several CPUs: bound experiments give the same report as one
+trial after another, budget errors cross the pipe, ``load_csv`` parses a
+large body in parts with the same result and errors, and the workers'
+lifetime."""
 
 import json
 import os
@@ -8,14 +10,17 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 
+import numpy as np
 import pytest
 
-from niceset import (BudgetError, ConflictSpec, ExperimentConfig, harness,
-                     run_bound_experiment, sample_instance, solve)
+from niceset import (BudgetError, ConflictSpec, CsvError, ExperimentConfig, features, harness,
+                     load_csv, run_bound_experiment, sample_instance, solve)
 from niceset.rng import derive_seed
 
-from .conftest import child_env
+from .conftest import child_env, planted_block_matrix
+from .test_features import outcome, reference_load_csv
 
 
 @pytest.fixture(autouse=True)
@@ -176,9 +181,10 @@ def placements(monkeypatch):
     requests, here = [], []
     start, solve, caller = harness._Worker.start, harness.solve, os.getpid()
 
-    def recording_start(worker, cfg, trials, cpu):
-        requests.append((trials, cpu))
-        start(worker, cfg, trials, cpu)
+    def recording_start(worker, function, args, cpu):
+        assert function is harness._trials
+        requests.append((args[1], cpu))
+        start(worker, function, args, cpu)
 
     def recording_solve(inst, method, seed):
         if os.getpid() == caller:
@@ -283,6 +289,192 @@ def test_a_refused_move_runs_the_range_where_it_is(monkeypatch):
     _, here = placements(monkeypatch)
     assert run_bound_experiment(cfg) == expected
     assert here == [before] * 4 and os.sched_getaffinity(0) == before
+
+
+ROWS, WIDTH = 400, 30  # a body of about 230 KiB: three parts' worth
+
+
+def large_csv(tmp_path, edit=None):
+    """A headed CSV of ROWS records of WIDTH numbers; ``edit(body)`` may
+    change the list of body lines (without line ends) first."""
+    rng = np.random.default_rng(8)
+    body = [",".join(map(repr, row)) for row in rng.standard_normal((ROWS, WIDTH)).tolist()]
+    if edit is not None:
+        edit(body)
+    assert len("\n".join(body)) > 3 * features._PART_CHARS
+    path = tmp_path / "large.csv"
+    path.write_text(",".join(f"c{j}" for j in range(WIDTH)) + "\n" + "\n".join(body) + "\n",
+                    encoding="utf-8", newline="")
+    return path
+
+
+def no_csv_reader(*args):
+    raise AssertionError("the csv reader ran on a body numpy reads")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_large_body_loads_as_the_reference_on_any_cpu_count(monkeypatch, tmp_path, cpus):
+    path = large_csv(tmp_path)
+    expected = outcome(reference_load_csv, path)
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    monkeypatch.setattr(features, "_csv_body", no_csv_reader)
+    assert outcome(load_csv, path) == expected
+    assert len(harness._workers) == cpus - 1
+    assert outcome(load_csv, path) == expected  # the same workers, run again
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_line_ends_inside_cells_stay_inside_their_line(monkeypatch, tmp_path, cpus):
+    # float and numpy read these cells as numbers; str.splitlines would end
+    # a line at each of them
+    def pad(body):
+        for i in range(0, ROWS, 7):
+            cells = body[i].split(",")
+            cells[i % WIDTH] = "\f" + cells[i % WIDTH] + "\x85"
+            cells[(i + 1) % WIDTH] += "\u2028\f"
+            body[i] = ",".join(cells)
+
+    path = large_csv(tmp_path, pad)
+    expected = outcome(reference_load_csv, path)
+    assert expected[1] == (ROWS, WIDTH)
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    monkeypatch.setattr(features, "_csv_body", no_csv_reader)
+    assert outcome(load_csv, path) == expected
+
+
+BAD = ROWS - 10  # the body line of the bad record: in the last part for 1 to 3 CPUs
+
+
+def replace_cell(cell):
+    def edit(body):
+        cells = body[BAD].split(",")
+        cells[3] = cell
+        body[BAD] = ",".join(cells)
+    return edit
+
+
+def drop_cell(body):
+    body[BAD] = body[BAD].rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("edit, column", [
+    (replace_cell("x"), "c3"),
+    (replace_cell('"1,5"'), "c3"),   # quoted: one cell to csv, two to numpy
+    (replace_cell("inf"), "c3"),
+    (drop_cell, None),
+], ids=["non-number", "quoted", "inf", "ragged"])
+def test_a_bad_record_in_a_workers_part_is_reported_as_the_reference_does(
+        monkeypatch, tmp_path, cpus, edit, column):
+    path = large_csv(tmp_path, edit)
+    assert BAD in harness._ranges(ROWS, cpus)[-1]
+    expected = outcome(reference_load_csv, path)
+    assert expected[0] is CsvError and expected[2:] == (BAD + 2, column)
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    assert outcome(load_csv, path) == expected
+    assert len(harness._workers) == cpus - 1  # a rejected part stops no worker
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_parts_of_different_widths_go_to_the_csv_reader(monkeypatch, tmp_path, cpus):
+    # each part alone is rectangular: only their widths differ
+    last = harness._ranges(ROWS, cpus)[-1]
+
+    def narrow(body):
+        for i in last:
+            body[i] = body[i].rsplit(",", 1)[0]
+
+    path = large_csv(tmp_path, narrow)
+    expected = outcome(reference_load_csv, path)
+    assert expected[:3] == (CsvError, f"{path}: record {last[0] + 2} has {WIDTH - 1} fields, "
+                                      f"expected {WIDTH}", last[0] + 2)
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    assert outcome(load_csv, path) == expected
+    assert outcome(load_csv, path, has_header=False) \
+        == outcome(reference_load_csv, path, has_header=False)
+
+
+@pytest.mark.parametrize("cpus, size, workers", [
+    (2, (2, -1), 0),     # under two parts' worth: no worker
+    (2, (2, 0), 1),
+    (3, (3, -1), 1),     # under three parts' worth: two parts on three CPUs
+    (3, (3, 0), 2),
+    (8, (3, 0), 2),      # no more parts than parts' worth
+])
+def test_each_part_holds_the_part_size_at_least(monkeypatch, tmp_path, cpus, size, workers):
+    parts, extra = size
+    size = parts * features._PART_CHARS + extra  # characters of body, line ends included
+    lines = size // 4 - 1
+    body = ["1,2\n", "3,5\n"] * (lines // 2) + ["4,4\n"] * (lines % 2)
+    body.append("0" * (size - 4 * len(body) - 4) + "1,3\n")
+    assert sum(map(len, body)) == size
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n" + "".join(body), newline="")
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+    assert len(harness._workers) == workers
+
+
+def test_no_part_is_empty_when_lines_are_long(monkeypatch, tmp_path):
+    # three lines of about 100,000 characters: four parts' worth, three lines
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((3, 5000)).tolist()
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    assert path.stat().st_size // features._PART_CHARS > 3
+    monkeypatch.setattr(harness, "_cpus", lambda: 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on an empty part
+        assert outcome(load_csv, path, has_header=False) \
+            == outcome(reference_load_csv, path, has_header=False)
+    assert len(harness._workers) == 2
+
+
+def test_a_parse_worker_killed_between_loads_is_replaced(monkeypatch, tmp_path):
+    path = large_csv(tmp_path)
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    expected = outcome(load_csv, path)
+    (worker,) = harness._workers
+    os.kill(worker.pid, signal.SIGKILL)
+    wait_until_gone(worker.pid, 10)
+    assert outcome(load_csv, path) == expected
+    assert len(harness._workers) == 1 and harness._workers[0].pid != worker.pid
+
+
+TEST_PROCESS = os.getpid()
+_parse_lines = features._parse_lines
+
+
+def parse_or_exit(lines, delimiter):
+    """``features._parse_lines``, except that a worker exits instead."""
+    if os.getpid() != TEST_PROCESS:
+        os._exit(1)
+    return _parse_lines(lines, delimiter)
+
+
+def test_a_parse_worker_that_dies_mid_run_raises_naming_it(monkeypatch, tmp_path):
+    path = large_csv(tmp_path)
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(features, "_parse_lines", parse_or_exit)
+    with pytest.raises(ChildProcessError, match=r"^worker \d+ exited mid-run$"):
+        load_csv(path)
+    assert harness._workers == []
+
+
+def test_a_worker_dead_before_its_request_raises_naming_it(monkeypatch):
+    # not BrokenPipeError, which the CLI reads as its own stdout closed
+    cfg = ExperimentConfig(m=20, p=0.3, trials=4, seed=3, solver="greedy")
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    expected = run_bound_experiment(cfg)
+    (worker,) = harness._workers
+    os.kill(worker.pid, signal.SIGKILL)
+    wait_until_gone(worker.pid, 10)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness._Worker, "alive", lambda self: True)  # missed by the sweep
+        with pytest.raises(ChildProcessError, match=rf"^worker {worker.pid} exited mid-run$"):
+            run_bound_experiment(cfg)
+    assert harness._workers == []
+    assert run_bound_experiment(cfg) == expected
 
 
 def running(pid: int) -> bool:
@@ -468,13 +660,21 @@ def test_a_process_pinned_to_one_cpu_runs_serially_with_the_same_report(tmp_path
             assert main(["simulate-lower", "--m", "60", "--p", "0.1", "--conflict", "uniform-k",
                          "--k", "1", "--solver", solver, "--trials", "10", "--seed", "1",
                          "--json", os.path.join(out, f"{mode}-{solver}.json")]) == 0
+        assert main(["select", "--input", os.path.join(out, "planted.csv"), "--lambda-c", "0.8",
+                     "--lambda-mc", "5", "--method", "greedy", "--seed", "1",
+                     "--json", os.path.join(out, f"{mode}-select.json"),
+                     "--instance-json", os.path.join(out, f"{mode}-instance.json")]) == 0
         print(harness._cpus(), len(harness._workers))
     """)
+    fm = planted_block_matrix(n=800)  # a body over the size load_csv parses in parts
+    body = "".join(",".join(map(repr, row)) + "\n" for row in fm.data.tolist())
+    assert len(body) > 2 * features._PART_CHARS
+    (tmp_path / "planted.csv").write_text(",".join(fm.names) + "\n" + body)
     children = {mode: python("-c", script, str(tmp_path), mode) for mode in ("pinned", "free")}
     outs = {mode: child.communicate(timeout=120) for mode, child in children.items()}
     for mode, child in children.items():
         assert child.returncode == 0, outs[mode][1]
     assert outs["pinned"][0].splitlines()[-1] == "1 0"  # one CPU, so no worker
-    for solver in ("randomized", "exact"):
-        assert (tmp_path / f"pinned-{solver}.json").read_bytes() == \
-            (tmp_path / f"free-{solver}.json").read_bytes()
+    for name in ("randomized", "exact", "select", "instance"):
+        assert (tmp_path / f"pinned-{name}.json").read_bytes() == \
+            (tmp_path / f"free-{name}.json").read_bytes()
