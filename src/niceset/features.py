@@ -150,10 +150,7 @@ def _numpy_body(lines: list[str], delimiter: str,
     if len(lines) < 3 or max(map(len, lines)) > csv.field_size_limit():
         return None
     most = min(len(lines), max(1, sum(map(len, lines)) // _PART_CHARS))
-    parts = harness._fan_out(
-        _parse_lines,
-        lambda n: [(lines[r.start:r.stop], delimiter) for r in harness._ranges(len(lines), n)],
-        most)
+    parts = harness._fan_out(_parse_lines, lines, (delimiter,), most)
     if any(part is None for part in parts) or len({part.shape[1] for part in parts}) != 1:
         return None
     data = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -401,8 +398,8 @@ def select_features(fm: FeatureMatrix, lambda_c: float, lambda_mc: float,
                     seed: int = 0) -> SelectionReport:
     """Build the instance from the data and extract a nice feature subset.
 
-    ``method`` is one of ``exact`` (branch and bound with the default node
-    budget; raises :class:`BudgetError` when the budget runs out),
+    ``method`` is one of ``exact`` (branch and bound; raises
+    :class:`BudgetError` past :data:`~niceset.solvers.NODE_BUDGET` nodes),
     ``greedy``, or ``randomized`` (seeded with ``seed``), run through
     :func:`~niceset.solvers.solve`, which raises unless the set is nice.
     """

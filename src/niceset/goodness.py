@@ -169,22 +169,23 @@ def h_set(system: GoodnessSystem, i_set: Iterable) -> frozenset:
     return frozenset(x for x in system.universe if not system.g(x, chosen))
 
 
-def _constrained_sets(system: GoodnessSystem, sizes: Iterable[int], max_subsets: int):
+def _constrained_sets(system: GoodnessSystem, sizes: Iterable[int]):
     """For each size in ``sizes`` in turn, yield a generator of the
     B-constrained subsets of that size, in :func:`itertools.combinations`
     order over the universe.
 
-    This is the one subset budget: before it starts a size, the walk raises
-    :class:`BudgetError` if the subsets of every size started so far, this
-    one included, exceed ``max_subsets``.  A caller that stops asking for
-    sizes pays only for the sizes it reached."""
+    This is the one place the subset budget is charged: before it starts a
+    size, the walk raises :class:`BudgetError` if the subsets of every size
+    started so far, this one included, exceed :data:`SUBSET_BUDGET` as it
+    reads then.  A caller that stops asking for sizes pays only for the
+    sizes it reached."""
     n, visited = system.size, 0
     for size in sizes:
         visited += math.comb(n, size)
-        if visited > max_subsets:
+        if visited > SUBSET_BUDGET:
             raise BudgetError(f"enumerating the subsets of size {size} over {n} elements "
                               f"brings the subsets visited to {visited}, over the budget "
-                              f"of {max_subsets}")
+                              f"of {SUBSET_BUDGET}")
         yield (s for s in map(frozenset, combinations(system.universe, size))
                if is_constrained(system, s))
 
@@ -219,7 +220,7 @@ class FractionTable:
         return self.q[count("i", i, 1) - 1]
 
 
-def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int, probe: bool = False):
+def _fractions(system: GoodnessSystem, up_to: int, probe: bool = False):
     """Yield ``(p_i, q_i, found_i)`` for ``i = 1..up_to`` as size ``i`` is enumerated;
     with ``probe``, ``found_i`` iff one of its sets is mutually good (tested in walk
     order up to the first hit), else nothing is tested and it is ``False``.  The
@@ -227,7 +228,7 @@ def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int, probe: bool
     n = system.size
     fewest_good, most_rejected = n, 0
     # The empty set counts at every i: f(empty) is the universe, h(empty) need not be empty.
-    for size, sets in enumerate(_constrained_sets(system, range(up_to + 1), max_subsets)):
+    for size, sets in enumerate(_constrained_sets(system, range(up_to + 1))):
         found = False
         for s in sets:
             fewest_good = min(fewest_good, len(system.f(s)))
@@ -237,31 +238,31 @@ def _fractions(system: GoodnessSystem, up_to: int, max_subsets: int, probe: bool
             yield Fraction(fewest_good, n), Fraction(most_rejected, n), found
 
 
-def fraction_table(system: GoodnessSystem, up_to: int,
-                   max_subsets: int = SUBSET_BUDGET) -> FractionTable:
+def fraction_table(system: GoodnessSystem, up_to: int) -> FractionTable:
     """Exact ``p_i``/``q_i`` for ``i = 1..up_to`` in a single enumeration.
 
     ``p_i`` is the minimum of ``|f(I)| / N`` and ``q_i`` the maximum of
     ``|h(I)| / N`` over all B-constrained sets ``I`` with ``|I| <= i``, the
-    empty set included.
+    empty set included.  Past :data:`SUBSET_BUDGET` subsets it raises
+    :class:`BudgetError`.
     """
-    up_to, max_subsets = count("up_to", up_to, 1), count("max_subsets", max_subsets, 1)
+    up_to = count("up_to", up_to, 1)
     if up_to > system.size:
         raise ValueError(f"up_to must be at most {system.size}, got {up_to}")
-    p, q, _ = zip(*_fractions(system, up_to, max_subsets))
+    p, q, _ = zip(*_fractions(system, up_to))
     return FractionTable(p=p, q=q)
 
 
 def existence_violations(system: GoodnessSystem) -> tuple[list[dict], int]:
     """For every ``L`` with exact ``p[L-1] > q[L-1]``, require a mutually good
     constrained set of cardinality ``L``, read off the fractions' own walk of size
-    ``L``: each size is enumerated once, under ``SUBSET_BUDGET`` read at call time.
+    ``L``: each size is enumerated once, under :data:`SUBSET_BUDGET`.
 
     Returns the violations (each a dict with the failing ``L`` and the
     fractions) and the number of cardinalities at which the condition fired.
     """
     fired, violations = 0, []
-    walk = _fractions(system, system.size, SUBSET_BUDGET, probe=True)
+    walk = _fractions(system, system.size, probe=True)
     p, q, _ = next(walk)
     for L in range(2, system.size + 1):
         if p <= q:  # p never increases and q never decreases, so no larger L fires
@@ -336,14 +337,14 @@ def randomized_construct(system: GoodnessSystem, L: int, max_restarts: int,
     return None
 
 
-def brute_force_mutually_good(system: GoodnessSystem, L: int,
-                              max_subsets: int = SUBSET_BUDGET) -> frozenset | None:
+def brute_force_mutually_good(system: GoodnessSystem, L: int) -> frozenset | None:
     """First mutually good B-constrained set of cardinality exactly ``L`` in
-    lexicographic universe order, or ``None`` if none exists."""
-    L, max_subsets = count("L", L, 0), count("max_subsets", max_subsets, 1)
+    lexicographic universe order, or ``None`` if none exists.  Past
+    :data:`SUBSET_BUDGET` subsets it raises :class:`BudgetError`."""
+    L = count("L", L, 0)
     if L > system.size:
         raise ValueError(f"L must be at most {system.size}, got {L}")
-    sets, = _constrained_sets(system, [L], max_subsets)
+    sets, = _constrained_sets(system, [L])
     return next((s for s in sets if is_mutually_good(system, s)), None)
 
 

@@ -6,9 +6,9 @@ order, and reports are byte-identical across runs with the same seed.  That
 is also what lets a bound experiment run its trials on every CPU the process
 may use: the caller and forked workers run contiguous trial ranges, each on
 its own CPU, and the results are joined in trial order.  The same worker
-pool (:func:`_fan_out`) runs any call cut into parts; ``load_csv`` parses a
-large body on it too.  Statistical margins are three binomial standard
-errors throughout.
+pool (:func:`_fan_out`) runs any call on contiguous parts of a sequence;
+``load_csv`` parses a large body on it too.  Statistical margins are three
+binomial standard errors throughout.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _trial(cfg: ExperimentConfig, t: int) -> tuple[int, int, int]:
     return trial, size, max(len(ts) for ts in inst.conflicts.values())
 
 
-def _trials(cfg: ExperimentConfig, trials: range, caller: int) -> list[tuple[int, int, int]]:
+def _trials(trials: range, cfg: ExperimentConfig, caller: int) -> list[tuple[int, int, int]]:
     """:func:`_trial` for each of ``trials``, in order, for process
     ``caller``; a worker whose caller is gone exits before the next trial."""
     rows = []
@@ -258,26 +258,27 @@ if hasattr(os, "fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _fan_out(function, cut, most: int) -> list:
-    """``[function(*args) for args in cut(n)]``, the ``n`` parts run at once.
+def _fan_out(function, items, args: tuple, most: int | None = None) -> list:
+    """``[function(items[r.start:r.stop], *args) for r in _ranges(len(items), n)]``,
+    the ``n`` parts run at once.
 
-    ``cut(n)`` gives the arguments of ``n`` contiguous parts of the work, and
-    ``n`` is the number of CPUs the process may use, at most ``most``.  This
-    process runs part 0 while workers run the rest; the workers are forked
-    on first need and kept for later calls.  Part ``i`` runs on the
-    ``i % n``-th of the ``n`` CPUs the process may use: the calling thread,
-    and the worker for each request, moves to that CPU alone for the part
-    and then restores its affinity mask.  A kernel that does not balance
-    load between CPUs would otherwise leave every forked worker on its
-    parent's CPU.  Without ``os.sched_setaffinity``, or if a move fails, the
-    part runs where it is.  On any error the workers are stopped, so the
-    next call starts with fresh ones, and the error of the lowest part is
-    raised.  With one part, without ``os.fork``, or while another thread
-    drives the workers, ``cut(1)`` runs here, unmoved; if a fork fails, the
+    ``n`` is the number of CPUs the process may use, at most ``most`` (by
+    default, the number of items).  This process runs part 0 while workers
+    run the rest; the workers are forked on first need and kept for later
+    calls.  Part ``i`` runs on the ``i % n``-th of the ``n`` CPUs the
+    process may use: the calling thread, and the worker for each request,
+    moves to that CPU alone for the part and then restores its affinity
+    mask.  A kernel that does not balance load between CPUs would otherwise
+    leave every forked worker on its parent's CPU.  Without
+    ``os.sched_setaffinity``, or if a move fails, the part runs where it is.
+    On any error the workers are stopped, so the next call starts with
+    fresh ones, and the error of the lowest part is raised.  With one part,
+    without ``os.fork``, or while another thread drives the workers,
+    ``function(items, *args)`` runs here, unmoved; if a fork fails, the
     work is cut among the workers there are."""
-    parts = min(most, _cpus())
+    parts = min(len(items) if most is None else most, _cpus())
     if parts == 1 or not hasattr(os, "fork") or not _workers_lock.acquire(False):
-        return [function(*args) for args in cut(1)]
+        return [function(items, *args)]
     try:
         for dead in [w for w in _workers if not w.alive()]:
             _workers.remove(dead)
@@ -287,12 +288,12 @@ def _fan_out(function, cut, most: int) -> list:
                 _workers.append(_Worker())
         except OSError:  # no process to spare: cut the work among those there are
             parts = len(_workers) + 1
-        work = cut(parts)
+        work = [(items[r.start:r.stop], *args) for r in _ranges(len(items), parts)]
         workers = _workers[:parts - 1]
         # None: this platform cannot move a process
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
-        for i, (worker, args) in enumerate(zip(workers, work[1:]), 1):
-            worker.start(function, args, cpus[i % len(cpus)])
+        for i, (worker, part) in enumerate(zip(workers, work[1:]), 1):
+            worker.start(function, part, cpus[i % len(cpus)])
         with _on_cpu(cpus[0]):
             results = [function(*work[0])]
         return results + [worker.result() for worker in workers]
@@ -307,9 +308,7 @@ def _run_trials(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
     """:func:`_trial` for every trial, in trial order, cut into one
     contiguous range per CPU (at most one per trial) by :func:`_fan_out`.
     A worker whose parent is gone stops between trials."""
-    caller = os.getpid()
-    ranges = _fan_out(_trials, lambda n: [(cfg, r, caller) for r in _ranges(cfg.trials, n)],
-                      cfg.trials)
+    ranges = _fan_out(_trials, range(cfg.trials), (cfg, os.getpid()))
     return [row for rows in ranges for row in rows]
 
 

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, count
+from .errors import BudgetError
 from .instance import Instance, is_nice
 from .rng import derive_seed, generator
 
 METHODS = ("exact", "greedy", "randomized")
+NODE_BUDGET = 5_000_000  # nodes one exact search may expand
+RESTARTS = 100  # rows drawn at each size of a randomized scan
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def _checked(vertices: frozenset[int], inst: Instance, method: str,
     return NiceSetResult(vertices, method, seed)
 
 
-def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResult:
+def max_nice_exact(inst: Instance) -> NiceSetResult:
     """Maximum nice set by colouring branch and bound (MCQ, Tomita & Seki
     2003, on the complement) from the greedy set, the vertices relabelled by
     ascending union-graph degree.  Each node covers its candidates with
@@ -105,9 +107,8 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
     ``j``-th clique leads to at most ``size + j`` vertices, so once that is
     no better than the best set the rest of the cover is cut.  The search
     runs on an explicit stack, so Python's recursion limit does not bound its
-    depth; past ``node_budget`` nodes it raises :class:`BudgetError` with the
-    best set found."""
-    node_budget = count("node_budget", node_budget, 1)
+    depth; past :data:`NODE_BUDGET` nodes it raises :class:`BudgetError`
+    with the best set found."""
     order, adj = _by_degree(inst.adjacency)
     best_mask = _min_degree_greedy(adj, inst.m)
     best_size, nodes, left = best_mask.bit_count(), 1, (1 << inst.m) - 1
@@ -124,8 +125,8 @@ def max_nice_exact(inst: Instance, node_budget: int = 5_000_000) -> NiceSetResul
             cover.append(clique ^ bit)
         frame[2] = left = left ^ bit
         nodes += 1
-        if nodes > node_budget:
-            raise BudgetError(f"exact search exceeded node budget {node_budget}",
+        if nodes > NODE_BUDGET:
+            raise BudgetError(f"exact search exceeded node budget {NODE_BUDGET}",
                               best_vertices=_mask_to_vertices(best_mask, order))
         chosen |= bit
         if size + 1 > best_size:  # every chosen set is stable
@@ -142,12 +143,12 @@ def greedy_nice(inst: Instance) -> NiceSetResult:
     return _checked(_mask_to_vertices(mask, range(inst.m)), inst, "greedy")
 
 
-def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> NiceSetResult:
+def randomized_nice(inst: Instance, seed: int = 0) -> NiceSetResult:
     """Nice set found by the uniform randomized constructor.
 
     Scans target sizes ``L`` from the clique count of :func:`max_nice_exact`'s
     root cover (no nice set is larger) down to 1.  Size ``L`` draws all
-    ``max_restarts`` rows of ``L`` uniform vertices in one call from its own
+    :data:`RESTARTS` rows of ``L`` uniform vertices in one call from its own
     seed ``derive_seed(seed, L)``; the rows with distinct vertices are tested
     together in one gather on the cached union-graph adjacency, and the first
     stable one wins.  This is exactly the draw sequence and acceptance test of
@@ -155,11 +156,10 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
     system.  ``L = 1`` always succeeds, so a set is always returned.
     Deterministic under ``seed``.
     """
-    max_restarts = count("max_restarts", max_restarts, 1)
     m, adjacency = inst.m, inst.adjacency
     flat = adjacency.ravel()  # a view: the adjacency is C-contiguous
     for target in range(len(_clique_cover((1 << m) - 1, _by_degree(adjacency)[1])), 0, -1):
-        draws = generator(derive_seed(seed, target)).integers(0, m, size=(max_restarts, target))
+        draws = generator(derive_seed(seed, target)).integers(0, m, size=(RESTARTS, target))
         ordered = np.sort(draws, axis=1)
         rows = draws[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
         if not len(rows):
@@ -175,7 +175,7 @@ def randomized_nice(inst: Instance, max_restarts: int = 100, seed: int = 0) -> N
 
 def solve(inst: Instance, method: str, seed: int = 0) -> NiceSetResult:
     """The nice set the solver named ``method`` finds: ``exact``
-    (:func:`max_nice_exact` with its default node budget), ``greedy``, or
+    (:func:`max_nice_exact` under :data:`NODE_BUDGET`), ``greedy``, or
     ``randomized`` (seeded with ``seed``; the other two ignore it)."""
     if method == "exact":
         return max_nice_exact(inst)

@@ -357,8 +357,7 @@ def test_budget_error_exits_two(capsys, tmp_path, monkeypatch):
             "--method", "exact"]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and "selected 6 of 15 features" in out
-    exact = solvers.max_nice_exact
-    monkeypatch.setattr(solvers, "max_nice_exact", lambda inst: exact(inst, node_budget=1))
+    monkeypatch.setattr(solvers, "NODE_BUDGET", 1)
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == "error: exact search exceeded node budget 1\n"

@@ -114,13 +114,20 @@ def test_compute_q_examples(path_system, k4_system):
     assert fraction_table(k4_system, 1).q_at(1) == Fraction(3, 4)
 
 
-def test_fraction_bounds_validation(path_system):
+# over 35 elements, sizes 0..2 hold 631 subsets and size 3 another 6545, so
+# with the budget patched to 1000 every enumeration that reaches size 3 is
+# refused, as the verify-lemma sweep is on its 35-element system
+OVER = "^enumerating the subsets of size 3 over 35 elements brings the subsets visited to"
+
+
+def test_fraction_bounds_validation(monkeypatch, path_system):
     with pytest.raises(ValueError):
         fraction_table(path_system, 0)
     with pytest.raises(ValueError):
         fraction_table(path_system, 5)
-    with pytest.raises(BudgetError):
-        fraction_table(edgeless_system(10), 10, max_subsets=10)
+    monkeypatch.setattr(goodness, "SUBSET_BUDGET", 1000)  # read at call time
+    with pytest.raises(BudgetError, match=f"{OVER} 7176, over the budget of 1000$"):
+        fraction_table(instance_system(sample_instance(35, 0.5, seed=0)), 3)
     for bad in (2.5, nan):
         with pytest.raises(TypeError):
             fraction_table(path_system, bad)
@@ -273,13 +280,14 @@ def test_attempt_rate_beats_bound_on_fixed_system():
 
 # ----------------------------------------------------------------- brute force
 
-def test_brute_force_examples(path_system, k4_system):
+def test_brute_force_examples(monkeypatch, path_system, k4_system):
     assert brute_force_mutually_good(edgeless_system(4), 4) == frozenset({1, 2, 3, 4})
     assert brute_force_mutually_good(k4_system, 2) is None
     found = brute_force_mutually_good(path_system, 2)
     assert found in ({frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 4})})
-    with pytest.raises(BudgetError):
-        brute_force_mutually_good(edgeless_system(20), 10, max_subsets=100)
+    monkeypatch.setattr(goodness, "SUBSET_BUDGET", 1000)  # read at call time
+    with pytest.raises(BudgetError, match=f"{OVER} 6545, over the budget of 1000$"):
+        brute_force_mutually_good(instance_system(sample_instance(35, 0.5, seed=0)), 3)
     with pytest.raises(ValueError, match="L must be at most 4, got 5"):
         brute_force_mutually_good(path_system, 5)
     for bad in (2.5, nan):
@@ -288,20 +296,24 @@ def test_brute_force_examples(path_system, k4_system):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 7])
-def test_subset_budget_raises_exactly_past_the_closed_forms(n):
+def test_subset_budget_raises_exactly_past_the_closed_forms(monkeypatch, n):
     # fraction_table visits every size up to up_to, the empty set included;
     # brute force visits the one size L
     system = edgeless_system(n)
     for up_to in range(1, n + 1):
         total = sum(comb(n, j) for j in range(up_to + 1))
-        assert len(fraction_table(system, up_to, max_subsets=total).p) == up_to
+        monkeypatch.setattr(goodness, "SUBSET_BUDGET", total)
+        assert len(fraction_table(system, up_to).p) == up_to
+        monkeypatch.setattr(goodness, "SUBSET_BUDGET", total - 1)
         with pytest.raises(BudgetError, match=rf"over the budget of {total - 1}$"):
-            fraction_table(system, up_to, max_subsets=total - 1)
+            fraction_table(system, up_to)
     for L in range(n + 1):
-        assert brute_force_mutually_good(system, L, max_subsets=comb(n, L)) is not None
+        monkeypatch.setattr(goodness, "SUBSET_BUDGET", comb(n, L))
+        assert brute_force_mutually_good(system, L) is not None
         if comb(n, L) > 1:
+            monkeypatch.setattr(goodness, "SUBSET_BUDGET", comb(n, L) - 1)
             with pytest.raises(BudgetError):
-                brute_force_mutually_good(system, L, max_subsets=comb(n, L) - 1)
+                brute_force_mutually_good(system, L)
 
 
 @pytest.mark.parametrize("system", [edgeless_system(6), random_instance_system(7)[0]],
@@ -316,14 +328,14 @@ def test_no_enumeration_visits_more_subsets_than_its_budget(monkeypatch, system)
 
     monkeypatch.setattr(goodness, "is_constrained", counting)
     n = system.size
-    calls = [lambda b, i=i: fraction_table(system, i, max_subsets=b) for i in range(1, n + 1)]
-    calls += [lambda b, L=L: brute_force_mutually_good(system, L, max_subsets=b)
-              for L in range(n + 1)]
+    calls = [lambda i=i: fraction_table(system, i) for i in range(1, n + 1)]
+    calls += [lambda L=L: brute_force_mutually_good(system, L) for L in range(n + 1)]
     for call in calls:
         for budget in range(1, 2 ** n + 1):
+            monkeypatch.setattr(goodness, "SUBSET_BUDGET", budget)
             visited.clear()
             try:
-                call(budget)
+                call()
             except BudgetError:
                 pass
             assert len(visited) <= budget

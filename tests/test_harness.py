@@ -78,8 +78,7 @@ def test_lower_experiment_clamps_threshold():
 
 
 def test_budget_errors_carry_the_trial_index(monkeypatch):
-    exact = solvers.max_nice_exact
-    monkeypatch.setattr(solvers, "max_nice_exact", lambda inst: exact(inst, node_budget=2))
+    monkeypatch.setattr(solvers, "NODE_BUDGET", 2)
     cfg = ExperimentConfig(m=20, p=0.5, trials=3, seed=2)
     with pytest.raises(BudgetError,
                        match="^trial 0: exact search exceeded node budget 2$") as info:

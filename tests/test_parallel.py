@@ -183,7 +183,7 @@ def placements(monkeypatch):
 
     def recording_start(worker, function, args, cpu):
         assert function is harness._trials
-        requests.append((args[1], cpu))
+        requests.append((args[0], cpu))
         start(worker, function, args, cpu)
 
     def recording_solve(inst, method, seed):

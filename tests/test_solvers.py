@@ -4,6 +4,7 @@ import inspect
 import subprocess
 import sys
 import textwrap
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -44,10 +45,12 @@ def test_exact_matches_enumeration_on_seeded_instances():
         assert max_nice_exact(inst).size == enumerate_max_nice(inst)
 
 
-def test_exact_budget_error_carries_best_so_far():
+def test_exact_budget_error_carries_best_so_far(monkeypatch):
     inst = sample_instance(30, 0.3, seed=5)
-    with pytest.raises(BudgetError) as info:
-        max_nice_exact(inst, node_budget=3)
+    with monkeypatch.context() as budget:
+        budget.setattr(solvers, "NODE_BUDGET", 3)
+        with pytest.raises(BudgetError) as info:
+            max_nice_exact(inst)
     err = info.value
     assert err.best_size == len(err.best_vertices) >= 1
     assert is_nice(err.best_vertices, inst)
@@ -55,31 +58,28 @@ def test_exact_budget_error_carries_best_so_far():
     assert BudgetError("no set").best_size is None
     with pytest.raises(TypeError):
         BudgetError("budget", best_vertices=frozenset({1}), best_size=1)
-    with pytest.raises(ValueError):
-        max_nice_exact(inst, node_budget=0)
     for idx in range(30):
         inst = sample_instance(10 + 3 * idx, [0.1, 0.3, 0.6][idx % 3],
                                ConflictSpec.uniform(idx % 3), seed=derive_seed(53, idx))
         size = max_nice_exact(inst).size
-        for budget in (1, 3, 50):
-            try:
-                assert max_nice_exact(inst, node_budget=budget).size == size
-            except BudgetError as exc:
-                assert 1 <= exc.best_size == len(exc.best_vertices) <= size
-                assert is_nice(exc.best_vertices, inst)
+        for nodes in (1, 3, 50):
+            with monkeypatch.context() as budget:
+                budget.setattr(solvers, "NODE_BUDGET", nodes)
+                try:
+                    assert max_nice_exact(inst).size == size
+                except BudgetError as exc:
+                    assert 1 <= exc.best_size == len(exc.best_vertices) <= size
+                    assert is_nice(exc.best_vertices, inst)
 
 
-@pytest.mark.parametrize("budget", [2.5, 3.0])
-def test_exact_rejects_a_non_integer_budget(budget):
-    with pytest.raises(TypeError):
-        max_nice_exact(sample_instance(10, 0.5, seed=0), node_budget=budget)
-
-
-def test_exact_takes_an_integer_like_budget():
+def test_exact_takes_an_integer_like_budget(monkeypatch):
     inst = sample_instance(30, 0.3, seed=5)
-    assert max_nice_exact(inst, node_budget=np.int64(10**6)) == max_nice_exact(inst)
+    expected = max_nice_exact(inst)
+    monkeypatch.setattr(solvers, "NODE_BUDGET", np.int64(10**6))
+    assert max_nice_exact(inst) == expected
+    monkeypatch.setattr(solvers, "NODE_BUDGET", np.int64(3))
     with pytest.raises(BudgetError, match="node budget 3$"):
-        max_nice_exact(inst, node_budget=np.int64(3))
+        max_nice_exact(inst)
 
 
 @settings(max_examples=80, deadline=None)
@@ -105,7 +105,7 @@ def test_exact_size_matches_networkx(m, p):
     assert max_nice_exact(inst).size == size
 
 
-def test_exact_search_depth_is_not_limited_by_the_recursion_limit():
+def test_exact_search_depth_is_not_limited_by_the_recursion_limit(monkeypatch):
     # 250 disjoint 5-cycles: the greedy start already has the maximum, 500,
     # but the root cover has 750 cliques (two edges and a vertex per cycle).
     # Each cycle the search fills takes two vertices and closes three
@@ -113,11 +113,12 @@ def test_exact_search_depth_is_not_limited_by_the_recursion_limit():
     # 500 levels before its first cut, far below the lowered recursion limit
     edges = [(5 * c + i + 1, 5 * c + (i + 1) % 5 + 1) for c in range(250) for i in range(5)]
     inst = Instance(1250, edges=edges)
+    monkeypatch.setattr(solvers, "NODE_BUDGET", 1000)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
         with pytest.raises(BudgetError) as info:
-            max_nice_exact(inst, node_budget=1000)
+            max_nice_exact(inst)
     finally:
         sys.setrecursionlimit(limit)
     assert info.value.best_size == 500
@@ -158,20 +159,10 @@ def test_randomized_is_nice_and_deterministic():
     assert a.size <= max_nice_exact(inst).size
 
 
-def test_randomized_finds_everything_on_edgeless_graph():
-    inst = Instance(5)
-    result = randomized_nice(inst, max_restarts=300, seed=0)
+def test_randomized_finds_everything_on_edgeless_graph(monkeypatch):
+    monkeypatch.setattr(solvers, "RESTARTS", 300)
+    result = randomized_nice(Instance(5), seed=0)
     assert result.vertices == frozenset({1, 2, 3, 4, 5})
-
-
-def test_randomized_rejects_non_positive_restarts():
-    with pytest.raises(ValueError, match="max_restarts"):
-        randomized_nice(Instance(3), max_restarts=0)
-    with pytest.raises(ValueError, match="max_restarts"):
-        randomized_nice(complete_instance(3), max_restarts=-2)
-    for bad in (2.5, float("nan")):
-        with pytest.raises(TypeError):
-            randomized_nice(Instance(3), max_restarts=bad)
 
 
 def reference_randomized_scan(inst, max_restarts, seed):
@@ -194,8 +185,8 @@ def reference_randomized_scan(inst, max_restarts, seed):
 def test_randomized_matches_reference_scan(m, p, k, max_restarts, seed):
     spec = ConflictSpec.uniform(min(k, m - 1))
     inst = sample_instance(m, p, spec, seed=derive_seed(seed, 0))
-    assert randomized_nice(inst, max_restarts, seed) == \
-        reference_randomized_scan(inst, max_restarts, seed)
+    with patch.object(solvers, "RESTARTS", max_restarts):
+        assert randomized_nice(inst, seed) == reference_randomized_scan(inst, max_restarts, seed)
 
 
 def reference_row_scan(inst, max_restarts, seed):
@@ -234,15 +225,15 @@ def reference_row_scan(inst, max_restarts, seed):
 def test_randomized_matches_the_per_row_scan(m, p, k, max_restarts, seed):
     spec = ConflictSpec.uniform(min(k, m - 1))
     inst = sample_instance(m, p, spec, seed=derive_seed(seed, 1))
-    assert randomized_nice(inst, max_restarts, seed) == \
-        reference_row_scan(inst, max_restarts, seed)
+    with patch.object(solvers, "RESTARTS", max_restarts):
+        assert randomized_nice(inst, seed) == reference_row_scan(inst, max_restarts, seed)
 
 
 def test_randomized_scan_past_64_vertices():
     # vertices above 64 are reachable and tested against their neighbours
     inst = Instance(100, edges=[(u, v) for u in range(1, 101) for v in range(u + 1, 101)
                                 if u <= 64 or v != u + 1])
-    result = randomized_nice(inst, max_restarts=100, seed=2)
+    result = randomized_nice(inst, seed=2)
     assert result == reference_row_scan(inst, 100, 2)
     assert result.size == 2 and min(result.vertices) > 64
 

@@ -20,11 +20,9 @@ from niceset import (BoundParams, ConflictSpec, ExperimentConfig, FeatureMatrix,
                      chernoff_bound, collinearity_graph, conflict_sets,
                      construction_success_bound, fraction_table, graph_system, h_set,
                      instance_system, is_constrained, is_mutually_good,
-                     max_nice_exact, pearson_matrix, randomized_construct,
-                     randomized_nice, run_chernoff_check, run_lemma_verification,
-                     sample_instance, select_features, vif)
+                     pearson_matrix, randomized_construct, run_chernoff_check,
+                     run_lemma_verification, sample_instance, select_features, vif)
 
-INSTANCE = Instance(4, edges=[(1, 2)], conflicts={3: [4]})
 SYSTEM = instance_system(sample_instance(5, 0.5, seed=1))
 TABLE = fraction_table(SYSTEM, 4)
 FM = FeatureMatrix(names=("a", "b", "c"), data=np.random.default_rng(0).normal(size=(20, 3)))
@@ -36,13 +34,8 @@ COUNTS = [
     (ConflictSpec.uniform, "k", 0, ConflictSpec.uniform),
     (Instance, "m", 1, Instance),
     (sample_instance, "m", 1, lambda v: sample_instance(v, 0.5)),
-    (max_nice_exact, "node_budget", 1, lambda v: max_nice_exact(INSTANCE, node_budget=v)),
-    (randomized_nice, "max_restarts", 1, lambda v: randomized_nice(INSTANCE, max_restarts=v)),
     (fraction_table, "up_to", 1, lambda v: fraction_table(SYSTEM, v)),
-    (fraction_table, "max_subsets", 1, lambda v: fraction_table(SYSTEM, 2, max_subsets=v)),
     (brute_force_mutually_good, "L", 0, lambda v: brute_force_mutually_good(SYSTEM, v)),
-    (brute_force_mutually_good, "max_subsets", 1,
-     lambda v: brute_force_mutually_good(SYSTEM, 2, max_subsets=v)),
     (randomized_construct, "L", 1, lambda v: randomized_construct(SYSTEM, v, 10)),
     (randomized_construct, "max_restarts", 1, lambda v: randomized_construct(SYSTEM, 2, v)),
     (construction_success_bound, "L", 2, lambda v: construction_success_bound(TABLE, v)),
